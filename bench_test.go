@@ -5,7 +5,8 @@ package repro
 // Each benchmark runs the full MapReduce algorithm on the simulator and
 // reports the model-level costs (rounds, words communicated, space per
 // machine) as custom metrics alongside wall-clock time. The full sweep
-// tables live in EXPERIMENTS.md and are regenerated by cmd/mrbench.
+// tables are printed by `go run ./cmd/mrbench`; BENCH_quick.json records
+// the CI-sized sweep (`go run ./cmd/mrbench -quick -json`).
 
 import (
 	"io"
@@ -36,9 +37,11 @@ func benchGraph(seed uint64) *graph.Graph {
 	return g
 }
 
+// report attaches the model metrics of one run. Every field, words
+// included, describes a single run, so it does not depend on b.N.
 func report(b *testing.B, m mpc.Metrics) {
 	b.ReportMetric(float64(m.Rounds), "rounds")
-	b.ReportMetric(float64(m.WordsSent)/float64(b.N), "words/op")
+	b.ReportMetric(float64(m.WordsSent), "words/op")
 	b.ReportMetric(float64(m.MaxSpace), "maxspace")
 	b.ReportMetric(float64(m.Machines), "machines")
 }
@@ -389,56 +392,83 @@ func executorBenchGraph() *graph.Graph {
 	return g
 }
 
-func benchLubyWorkers(b *testing.B, workers int) {
-	g := executorBenchGraph()
+// A seqParWorkload sets up one side of a Seq/Par4 pair for the given
+// worker count and returns a function running the workload once and
+// returning that run's model metrics. The benchmark pairs time it;
+// TestSeqParPairsReportIdenticalMetrics requires both sides to report the
+// same metrics.
+type seqParWorkload func(workers int) func() (mpc.Metrics, error)
+
+func benchSeqPar(b *testing.B, workload seqParWorkload, workers int) {
+	run := workload(workers)
+	b.ReportAllocs()
+	b.ResetTimer()
 	var m mpc.Metrics
 	for i := 0; i < b.N; i++ {
-		res, err := core.LubyMIS(g, core.Params{Mu: 0.1, Seed: 5, Workers: workers})
-		if err != nil {
+		var err error
+		if m, err = run(); err != nil {
 			b.Fatal(err)
 		}
-		m = res.Metrics
 	}
 	report(b, m)
 }
 
-func BenchmarkExecutorLubySeq(b *testing.B)  { benchLubyWorkers(b, 1) }
-func BenchmarkExecutorLubyPar4(b *testing.B) { benchLubyWorkers(b, 4) }
+// seqParPairs lists the workload of every Executor* and MsgPlane* pair.
+var seqParPairs = []struct {
+	name     string
+	workload seqParWorkload
+}{
+	{"ExecutorLuby", lubyWorkload},
+	{"ExecutorMatching", matchingWorkload},
+	{"ExecutorEdgeColouring", edgeColouringWorkload},
+	{"MsgPlaneMISSampling", misSamplingWorkload},
+	{"MsgPlaneBroadcast", broadcastWorkload},
+}
 
-func benchMatchingWorkers(b *testing.B, workers int) {
+func lubyWorkload(workers int) func() (mpc.Metrics, error) {
 	g := executorBenchGraph()
-	var m mpc.Metrics
-	for i := 0; i < b.N; i++ {
+	return func() (mpc.Metrics, error) {
+		res, err := core.LubyMIS(g, core.Params{Mu: 0.1, Seed: 5, Workers: workers})
+		if err != nil {
+			return mpc.Metrics{}, err
+		}
+		return res.Metrics, nil
+	}
+}
+
+func BenchmarkExecutorLubySeq(b *testing.B)  { benchSeqPar(b, lubyWorkload, 1) }
+func BenchmarkExecutorLubyPar4(b *testing.B) { benchSeqPar(b, lubyWorkload, 4) }
+
+func matchingWorkload(workers int) func() (mpc.Metrics, error) {
+	g := executorBenchGraph()
+	return func() (mpc.Metrics, error) {
 		res, err := core.RLRMatching(g, core.Params{Mu: 0.1, Seed: 5, Workers: workers},
 			core.MatchingOptions{})
 		if err != nil {
-			b.Fatal(err)
+			return mpc.Metrics{}, err
 		}
-		m = res.Metrics
+		return res.Metrics, nil
 	}
-	report(b, m)
 }
 
-func BenchmarkExecutorMatchingSeq(b *testing.B)  { benchMatchingWorkers(b, 1) }
-func BenchmarkExecutorMatchingPar4(b *testing.B) { benchMatchingWorkers(b, 4) }
+func BenchmarkExecutorMatchingSeq(b *testing.B)  { benchSeqPar(b, matchingWorkload, 1) }
+func BenchmarkExecutorMatchingPar4(b *testing.B) { benchSeqPar(b, matchingWorkload, 4) }
 
-func benchEdgeColouringWorkers(b *testing.B, workers int) {
-	// Edge colouring is the compute-bound pair: the per-group Misra–Gries
-	// colouring dominates and runs under the executor.
+// edgeColouringWorkload is the compute-bound pair: the per-group
+// Misra–Gries colouring dominates and runs under the executor.
+func edgeColouringWorkload(workers int) func() (mpc.Metrics, error) {
 	g := executorBenchGraph()
-	var m mpc.Metrics
-	for i := 0; i < b.N; i++ {
+	return func() (mpc.Metrics, error) {
 		res, err := core.EdgeColouring(g, core.Params{Mu: 0.1, Seed: 5, Workers: workers})
 		if err != nil {
-			b.Fatal(err)
+			return mpc.Metrics{}, err
 		}
-		m = res.Metrics
+		return res.Metrics, nil
 	}
-	report(b, m)
 }
 
-func BenchmarkExecutorEdgeColouringSeq(b *testing.B)  { benchEdgeColouringWorkers(b, 1) }
-func BenchmarkExecutorEdgeColouringPar4(b *testing.B) { benchEdgeColouringWorkers(b, 4) }
+func BenchmarkExecutorEdgeColouringSeq(b *testing.B)  { benchSeqPar(b, edgeColouringWorkload, 1) }
+func BenchmarkExecutorEdgeColouringPar4(b *testing.B) { benchSeqPar(b, edgeColouringWorkload, 4) }
 
 // --- Message plane allocation pairs ---
 //
@@ -450,47 +480,80 @@ func BenchmarkExecutorEdgeColouringPar4(b *testing.B) { benchEdgeColouringWorker
 // hop used to clone its payload). Run with -benchmem. Against the
 // per-Message representation these dropped from ~20.4k to well under half
 // that allocs/op (MIS sampling) and from ~1.3k to tens of allocs/op
-// (~150 allocs/op, broadcast); the remaining allocations are
-// algorithm-side (sampling plans, candidate lists), not message plane.
+// (~150 allocs/op, broadcast). The sampling plans and candidate lists now
+// come from reused round scratch as well (DESIGN.md, "Allocation
+// discipline").
 
-func benchMsgPlaneMISSampling(b *testing.B, workers int) {
+func misSamplingWorkload(workers int) func() (mpc.Metrics, error) {
 	g := benchGraph(30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := core.MISFast(g, core.Params{Mu: benchMu, Seed: 7, Workers: workers})
+	return func() (mpc.Metrics, error) {
+		res, err := core.MISFast(g, core.Params{Mu: benchMu, Seed: 7, Workers: workers})
 		if err != nil {
-			b.Fatal(err)
+			return mpc.Metrics{}, err
 		}
+		return res.Metrics, nil
 	}
 }
 
-func BenchmarkMsgPlaneMISSamplingSeq(b *testing.B)  { benchMsgPlaneMISSampling(b, 1) }
-func BenchmarkMsgPlaneMISSamplingPar4(b *testing.B) { benchMsgPlaneMISSampling(b, 4) }
+func BenchmarkMsgPlaneMISSamplingSeq(b *testing.B)  { benchSeqPar(b, misSamplingWorkload, 1) }
+func BenchmarkMsgPlaneMISSamplingPar4(b *testing.B) { benchSeqPar(b, misSamplingWorkload, 4) }
 
-func benchMsgPlaneBroadcast(b *testing.B, workers int) {
+// broadcastWorkload reuses one cluster across runs; a run's metrics are
+// the growth of the cluster's cumulative counters over the run (its
+// maxima are the same every run).
+func broadcastWorkload(workers int) func() (mpc.Metrics, error) {
 	c := mpc.NewCluster(mpc.Config{Machines: 64, Workers: workers})
 	tr := mpc.NewTree(c, 0, 4)
 	payload := make([]int64, 32)
 	for i := range payload {
 		payload[i] = int64(i)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() (mpc.Metrics, error) {
+		before := c.Metrics()
 		if err := tr.Broadcast(c, payload, nil); err != nil {
-			b.Fatal(err)
+			return mpc.Metrics{}, err
 		}
 		if _, err := tr.AggregateSum(c, 4, func(machine int) []int64 {
 			return payload[:4]
 		}); err != nil {
-			b.Fatal(err)
+			return mpc.Metrics{}, err
 		}
+		m := c.Metrics()
+		m.Rounds -= before.Rounds
+		m.WordsSent -= before.WordsSent
+		m.Messages -= before.Messages
+		m.ActiveSum -= before.ActiveSum
+		return m, nil
 	}
 }
 
-func BenchmarkMsgPlaneBroadcastSeq(b *testing.B)  { benchMsgPlaneBroadcast(b, 1) }
-func BenchmarkMsgPlaneBroadcastPar4(b *testing.B) { benchMsgPlaneBroadcast(b, 4) }
+func BenchmarkMsgPlaneBroadcastSeq(b *testing.B)  { benchSeqPar(b, broadcastWorkload, 1) }
+func BenchmarkMsgPlaneBroadcastPar4(b *testing.B) { benchSeqPar(b, broadcastWorkload, 4) }
+
+// TestSeqParPairsReportIdenticalMetrics runs both sides of every Executor*
+// and MsgPlane* pair, twice each, and requires one set of model metrics:
+// the pairs may differ in wall-clock only.
+func TestSeqParPairsReportIdenticalMetrics(t *testing.T) {
+	for _, pair := range seqParPairs {
+		t.Run(pair.name, func(t *testing.T) {
+			var want mpc.Metrics
+			for k, workers := range []int{1, 4} {
+				run := pair.workload(workers)
+				for rep := 0; rep < 2; rep++ {
+					m, err := run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if k == 0 && rep == 0 {
+						want = m
+					} else if m != want {
+						t.Fatalf("workers=%d run %d: metrics %+v, want %+v", workers, rep+1, m, want)
+					}
+				}
+			}
+		})
+	}
+}
 
 // --- Neighbor-scan kernel pairs ---
 //

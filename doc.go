@@ -53,6 +53,7 @@
 // ledgered jobs, prove the chained hashes reproduce),
 // examples/ (runnable scenarios), and the
 // root-level benchmarks in bench_test.go (one per Figure 1 row, plus the
-// service throughput and sharded-round pairs). See README.md, DESIGN.md
-// and EXPERIMENTS.md.
+// service throughput and sharded-round pairs). See README.md and
+// DESIGN.md; `go run ./cmd/mrbench` prints the experiment tables, and
+// BENCH_quick.json records the CI-sized sweep.
 package repro

@@ -11,7 +11,7 @@
 //   - the communication volume.
 //
 // The cmd/mrbench binary drives these experiments and renders the tables
-// recorded in EXPERIMENTS.md.
+// (`go run ./cmd/mrbench`); BENCH_quick.json records the -quick sweep.
 package bench
 
 import (

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -92,6 +92,17 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	}
 
 	res := &MatchingResult{}
+	// Per-iteration scratch, reused across iterations. Each vertex's edge
+	// sample is drawn in one go, so the samples sit as contiguous runs of
+	// one slab: vertex v's run is chosen[lo[v]:hi[v]], empty when v did
+	// not ship. The plan lists the shipping vertices per machine.
+	var plan roundPlan[int]
+	var chosen, aliveIDs []int
+	lo := make([]int, n)
+	hi := make([]int, n)
+	changed := newStamps(n)
+	var changedList []int
+	counts := make([]int64, M)
 	for aliveCount > 0 {
 		if res.Iterations >= p.maxIter() {
 			return nil, fmt.Errorf("core: BMatching exceeded %d iterations", p.maxIter())
@@ -105,14 +116,13 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// Draw each vertex's edge sample machine by machine before the round
 		// (machine order, then vertex order); the closures replay the
 		// per-machine plans concurrently.
-		perVertex := make(map[int][]int)
-		// plan lists, per machine, every owned vertex with alive incident
-		// edges — such a vertex always ships its (possibly header-only)
-		// payload, which is what the word accounting charges.
-		plan := make([][]int, M)
+		plan.reset()
+		chosen = chosen[:0]
+		clear(lo)
+		clear(hi)
 		for machine := 1; machine < M; machine++ {
 			for _, v := range owned[machine] {
-				var aliveIDs []int
+				aliveIDs = aliveIDs[:0]
 				for _, id := range g.IncidentEdges(v) {
 					if alive[id] {
 						aliveIDs = append(aliveIDs, int(id))
@@ -121,25 +131,32 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 				if len(aliveIDs) == 0 {
 					continue
 				}
+				// plan lists, per machine, every owned vertex with alive
+				// incident edges — such a vertex always ships its
+				// (possibly header-only) payload, which is what the word
+				// accounting charges.
+				plan.add(v)
+				lo[v] = len(chosen)
 				want := int(math.Ceil(float64(b(v)) * lnInvDelta * nMu))
-				var chosen []int
 				if smallGraph || want >= len(aliveIDs) {
-					chosen = aliveIDs
+					chosen = append(chosen, aliveIDs...)
 				} else {
-					for _, idx := range r.SampleWithoutReplacement(len(aliveIDs), want) {
-						chosen = append(chosen, aliveIDs[idx])
+					start := len(chosen)
+					chosen = r.SampleInto(chosen, len(aliveIDs), want)
+					for k := start; k < len(chosen); k++ {
+						chosen[k] = aliveIDs[chosen[k]]
 					}
 				}
-				plan[machine] = append(plan[machine], v)
-				perVertex[v] = chosen
+				hi[v] = len(chosen)
 			}
+			plan.next()
 		}
-		armPlanned(cluster, plan)
+		plan.arm(cluster)
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, v := range plan[machine] {
+			for _, v := range plan.of(machine) {
 				out.Begin(0)
 				out.Int(int64(v))
-				for _, id := range perVertex[v] {
+				for _, id := range chosen[lo[v]:hi[v]] {
 					out.Int(int64(id))
 				}
 				out.End()
@@ -149,24 +166,27 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 			return nil, err
 		}
 
-		// Central machine (Lines 11-17): per vertex, push up to
-		// b(v)·ln(1/δ) heaviest sampled alive edges with ε-adjusted
-		// reductions.
-		vertices := make([]int, 0, len(perVertex))
-		for v := range perVertex {
-			vertices = append(vertices, v)
-		}
-		sort.Ints(vertices)
-		changed := make(map[int]bool)
-		for _, v := range vertices {
+		// Central machine (Lines 11-17): per vertex in ascending order,
+		// push up to b(v)·ln(1/δ) heaviest sampled alive edges with
+		// ε-adjusted reductions. The round has shipped the samples, so
+		// each run is sorted in place.
+		changed.next()
+		changedList = changedList[:0]
+		for v := 0; v < n; v++ {
+			ids := chosen[lo[v]:hi[v]]
+			if len(ids) == 0 {
+				continue
+			}
 			budget := int(math.Ceil(float64(b(v)) * lnInvDelta))
-			ids := append([]int(nil), perVertex[v]...)
-			sort.Slice(ids, func(a, c int) bool {
-				wa, wc := lr.Reduced(ids[a]), lr.Reduced(ids[c])
-				if wa != wc {
-					return wa > wc
+			slices.SortFunc(ids, func(a, c int) int {
+				wa, wc := lr.Reduced(a), lr.Reduced(c)
+				switch {
+				case wa > wc:
+					return -1
+				case wa < wc:
+					return 1
 				}
-				return ids[a] < ids[c]
+				return a - c
 			})
 			for j := 0; j < budget && j < len(ids); j++ {
 				// Re-pick the heaviest alive each time: reductions at v
@@ -174,8 +194,12 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 				// order within δ(v) is stable and a sorted scan suffices.
 				if _, ok := lr.Push(ids[j]); ok {
 					e := g.Edges[ids[j]]
-					changed[e.U] = true
-					changed[e.V] = true
+					for _, u := range [2]int{e.U, e.V} {
+						if !changed.has(u) {
+							changed.add(u)
+							changedList = append(changedList, u)
+						}
+					}
 				}
 			}
 		}
@@ -184,11 +208,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// Dissemination: central routes the changed potentials ϕ(v) to the
 		// vertex owners; owners re-evaluate the ε-adjusted kill rule for
 		// their incident edges.
-		changedList := make([]int, 0, len(changed))
-		for v := range changed {
-			changedList = append(changedList, v)
-		}
-		sort.Ints(changedList)
+		slices.Sort(changedList)
 		cluster.Arm(0) // the forwarding round runs off its delivered records
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if machine != 0 {
@@ -231,7 +251,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		if err := cluster.Quiet(); err != nil {
 			return nil, err
 		}
-		counts := make([]int64, M)
+		clear(counts)
 		for id := 0; id < m; id++ {
 			if alive[id] && !lr.Alive(id) {
 				alive[id] = false
@@ -242,7 +262,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 			}
 		}
 		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
+			return counts[machine : machine+1]
 		})
 		if err != nil {
 			return nil, err

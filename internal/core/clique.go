@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -110,6 +111,15 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 		v    int
 		comp []int64 // active non-neighbours at sampling time
 	}
+	// Per-iteration scratch, reused across iterations: the flat sampling
+	// plan (its items are the sample in submission order), the arena the
+	// complement lists are carved from, the groups, and the batch-local
+	// removed set.
+	var plan roundPlan[cliqueCand]
+	var arena []int64
+	var groups [][]cliqueCand
+	var removed []int
+	removedSet := newStamps(n)
 
 	compDeg := func(v int) int {
 		if !inA[v] {
@@ -163,9 +173,9 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 	// processBatch adds candidates to the clique hungry-greedy style: one
 	// addition per group, threshold on the current complement degree.
 	processBatch := func(groups [][]cliqueCand, threshold int) error {
-		removedSet := make(map[int]bool)
-		var removed []int
-		activeNow := func(u int) bool { return inA[u] && !removedSet[u] }
+		removedSet.next()
+		removed = removed[:0]
+		activeNow := func(u int) bool { return inA[u] && !removedSet.has(u) }
 		for _, group := range groups {
 			for _, cand := range group {
 				if !activeNow(cand.v) {
@@ -186,13 +196,13 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 				// Add cand.v to the clique: remove v and its active
 				// non-neighbours from A.
 				clique = append(clique, cand.v)
-				if !removedSet[cand.v] {
-					removedSet[cand.v] = true
+				if !removedSet.has(cand.v) {
+					removedSet.add(cand.v)
 					removed = append(removed, cand.v)
 				}
 				for _, u := range cand.comp {
 					if activeNow(int(u)) {
-						removedSet[int(u)] = true
+						removedSet.add(int(u))
 						removed = append(removed, int(u))
 					}
 				}
@@ -238,21 +248,22 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			}
 			// Draw the sample machine by machine before the round; the
 			// closures replay each machine's plan concurrently.
-			var sample []cliqueCand
-			plan := make([][]cliqueCand, M)
+			plan.reset()
+			arena = arena[:0]
 			for machine := 1; machine < M; machine++ {
 				for _, v := range owned[machine] {
 					if !inA[v] || compDeg(v) < threshold || !r.Bernoulli(prob) {
 						continue
 					}
-					cand := cliqueCand{v: v, comp: activeComplement(g, inA, v, nbrMark)}
-					plan[machine] = append(plan[machine], cand)
-					sample = append(sample, cand)
+					lo := len(arena)
+					arena = activeComplement(arena, g, inA, v, nbrMark)
+					plan.add(cliqueCand{v: v, comp: arena[lo:len(arena):len(arena)]})
 				}
+				plan.next()
 			}
-			armPlanned(cluster, plan)
+			plan.arm(cluster)
 			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				for _, cand := range plan[machine] {
+				for _, cand := range plan.of(machine) {
 					out.Begin(0)
 					out.Int(int64(cand.v))
 					out.Ints(cand.comp...)
@@ -263,9 +274,10 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 				return nil, err
 			}
 			iterations++
-			var groups [][]cliqueCand
+			sample := plan.items
+			groups = groups[:0]
 			if gatherAll {
-				sort.Slice(sample, func(a, b int) bool { return sample[a].v < sample[b].v })
+				slices.SortFunc(sample, func(a, b cliqueCand) int { return a.v - b.v })
 				for k := range sample {
 					groups = append(groups, sample[k:k+1])
 				}
@@ -276,11 +288,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			}
 			r.Shuffle(len(sample), func(a, b int) { sample[a], sample[b] = sample[b], sample[a] })
 			for k := 0; k < len(sample); k += groupSize {
-				end := k + groupSize
-				if end > len(sample) {
-					end = len(sample)
-				}
-				groups = append(groups, sample[k:end])
+				groups = append(groups, sample[k:min(k+groupSize, len(sample))])
 			}
 			if err := processBatch(groups, threshold); err != nil {
 				return nil, err
@@ -291,26 +299,26 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 	// After the last phase every active vertex has complement degree 0, so
 	// A is a clique all of whose members are adjacent to every clique
 	// member: gather and add them all (one round of ids).
-	var leftovers []int
-	leftoverPlan := make([][]int64, M)
+	var leftovers roundPlan[int]
+	leftovers.reset()
 	for machine := 1; machine < M; machine++ {
 		for _, v := range owned[machine] {
 			if inA[v] {
-				leftoverPlan[machine] = append(leftoverPlan[machine], int64(v))
-				leftovers = append(leftovers, v)
+				leftovers.add(v)
 			}
 		}
+		leftovers.next()
 	}
-	armPlanned(cluster, leftoverPlan)
+	leftovers.arm(cluster)
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, v := range leftoverPlan[machine] {
-			out.SendInts(0, v)
+		for _, v := range leftovers.of(machine) {
+			out.SendInts(0, int64(v))
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	clique = append(clique, leftovers...)
+	clique = append(clique, leftovers.items...)
 	sort.Ints(clique)
 
 	return &CliqueResult{
@@ -320,16 +328,15 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 	}, nil
 }
 
-// activeComplement returns the active non-neighbours of v, excluding v.
-// nbrMark is a caller-owned all-false scratch bitmap of size g.N; it is
-// marked from the contiguous neighbour slice and cleared again before
-// returning, replacing a per-call map build.
-func activeComplement(g *graph.Graph, inA []bool, v int, nbrMark []bool) []int64 {
+// activeComplement appends the active non-neighbours of v, excluding v,
+// to out. nbrMark is a caller-owned all-false scratch bitmap of size g.N;
+// it is marked from the contiguous neighbour slice and cleared again
+// before returning, replacing a per-call map build.
+func activeComplement(out []int64, g *graph.Graph, inA []bool, v int, nbrMark []bool) []int64 {
 	nbrs := g.Neighbors(v)
 	for _, u := range nbrs {
 		nbrMark[u] = true
 	}
-	var out []int64
 	for u := 0; u < g.N; u++ {
 		if u != v && inA[u] && !nbrMark[u] {
 			out = append(out, int64(u))

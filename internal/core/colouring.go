@@ -92,14 +92,24 @@ func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	// The per-group edge lists are assembled up front in machine order,
 	// then edge order — the order they arrive in — because groups are
 	// shared destinations that concurrent senders could not append to. The
-	// same pass arms the machines that will send (Arm deduplicates).
-	groupEdges := make([][]graph.Edge, kappa)
+	// counting pass arms the machines that will send (Arm deduplicates).
+	var groupEdges buckets
+	groupEdges.reset(kappa)
 	for machine := 1; machine < M; machine++ {
 		for _, id := range ownedEdges[machine] {
 			e := g.Edges[id]
 			if group[e.U] == group[e.V] {
-				groupEdges[group[e.U]] = append(groupEdges[group[e.U]], e)
+				groupEdges.count(group[e.U])
 				cluster.Arm(machine)
+			}
+		}
+	}
+	groupEdges.fill()
+	for machine := 1; machine < M; machine++ {
+		for _, id := range ownedEdges[machine] {
+			e := g.Edges[id]
+			if group[e.U] == group[e.V] {
+				groupEdges.put(group[e.U], id)
 			}
 		}
 	}
@@ -118,9 +128,9 @@ func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	// Failure check (Line 4): any group with more than 13·n^{1+µ} edges
 	// fails the algorithm (a w.h.p.-never event).
 	capEdges := int(math.Ceil(13 * math.Pow(float64(n), 1+p.Mu)))
-	for i, ge := range groupEdges {
-		if len(ge) > capEdges {
-			return nil, fmt.Errorf("core: VertexColouring group %d has %d > 13n^{1+µ} = %d edges", i, len(ge), capEdges)
+	for i := 0; i < kappa; i++ {
+		if size := len(groupEdges.of(i)); size > capEdges {
+			return nil, fmt.Errorf("core: VertexColouring group %d has %d > 13n^{1+µ} = %d edges", i, size, capEdges)
 		}
 	}
 
@@ -128,20 +138,36 @@ func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	// of local computation plus one output round. The groups are
 	// independent (each writes only its own vertices' colours), so the
 	// colouring runs under the cluster's executor.
+	// Group i's vertices in ascending order; a vertex's position in its
+	// group's run is its compacted id in the group subgraph.
+	var members buckets
+	members.reset(kappa)
+	for v := 0; v < n; v++ {
+		members.count(group[v])
+	}
+	members.fill()
+	for v := 0; v < n; v++ {
+		members.put(group[v], v)
+	}
+	local := make([]int, n)
+	for i := 0; i < kappa; i++ {
+		for k, v := range members.of(i) {
+			local[v] = k
+		}
+	}
 	colours := make([]int, n)
 	localColour := make([]int, n)
 	groupDeg := make([]int, kappa)
 	groupMaxLocal := make([]int, kappa)
 	cluster.Exec().Execute(kappa, func(i int) {
-		sub, toLocal := induced(g.N, groupEdges[i], func(v int) bool { return group[v] == i })
+		verts := members.of(i)
+		sub := induced(g, len(verts), groupEdges.of(i), local)
 		col := seq.GreedyVertexColouring(sub, nil)
 		groupDeg[i] = sub.MaxDegree()
-		for v := 0; v < n; v++ {
-			if group[v] == i {
-				localColour[v] = col[toLocal[v]]
-				if localColour[v] > groupMaxLocal[i] {
-					groupMaxLocal[i] = localColour[v]
-				}
+		for k, v := range verts {
+			localColour[v] = col[k]
+			if col[k] > groupMaxLocal[i] {
+				groupMaxLocal[i] = col[k]
 			}
 		}
 	})
@@ -224,13 +250,20 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	// a machine emits only for groups with edges, and those received route
 	// traffic. Group edge lists are assembled up front in arrival (machine,
 	// then edge) order.
-	groupIDs := make([][]int, kappa)
+	var groupIDs buckets
+	groupIDs.reset(kappa)
 	for machine := 1; machine < M; machine++ {
 		if len(ownedEdges[machine]) > 0 {
 			cluster.Arm(machine)
 		}
 		for _, id := range ownedEdges[machine] {
-			groupIDs[group[id]] = append(groupIDs[group[id]], id)
+			groupIDs.count(group[id])
+		}
+	}
+	groupIDs.fill()
+	for machine := 1; machine < M; machine++ {
+		for _, id := range ownedEdges[machine] {
+			groupIDs.put(group[id], id)
 		}
 	}
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
@@ -243,9 +276,9 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 		return nil, err
 	}
 	capEdges := int(math.Ceil(13 * math.Pow(float64(n), 1+p.Mu)))
-	for i, ids := range groupIDs {
-		if len(ids) > capEdges {
-			return nil, fmt.Errorf("core: EdgeColouring group %d has %d > %d edges", i, len(ids), capEdges)
+	for i := 0; i < kappa; i++ {
+		if size := len(groupIDs.of(i)); size > capEdges {
+			return nil, fmt.Errorf("core: EdgeColouring group %d has %d > %d edges", i, size, capEdges)
 		}
 	}
 
@@ -257,15 +290,17 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	groupDeg := make([]int, kappa)
 	groupMaxLocal := make([]int, kappa)
 	cluster.Exec().Execute(kappa, func(i int) {
-		// Build the group subgraph on the same vertex ids (compacted).
+		// Build the group subgraph on the same vertex ids.
+		ids := groupIDs.of(i)
 		sub := graph.New(n)
-		for _, id := range groupIDs[i] {
+		sub.Edges = make([]graph.Edge, 0, len(ids))
+		for _, id := range ids {
 			e := g.Edges[id]
 			sub.AddEdge(e.U, e.V, 1)
 		}
 		col := seq.MisraGries(sub)
 		groupDeg[i] = sub.MaxDegree()
-		for k, id := range groupIDs[i] {
+		for k, id := range ids {
 			localColour[id] = col[k]
 			if col[k] > groupMaxLocal[i] {
 				groupMaxLocal[i] = col[k]
@@ -306,19 +341,14 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	}, nil
 }
 
-// induced builds the subgraph induced by the vertices selected by keep,
-// using the provided edge list, with compacted vertex ids. It returns the
-// subgraph and the old→new vertex id map.
-func induced(n int, edges []graph.Edge, keep func(v int) bool) (*graph.Graph, map[int]int) {
-	toLocal := make(map[int]int)
-	for v := 0; v < n; v++ {
-		if keep(v) {
-			toLocal[v] = len(toLocal)
-		}
+// induced builds the subgraph on size vertices spanned by the edges ids of
+// g, relabelling every endpoint v to the dense compacted id local[v].
+func induced(g *graph.Graph, size int, ids []int, local []int) *graph.Graph {
+	sub := graph.New(size)
+	sub.Edges = make([]graph.Edge, 0, len(ids))
+	for _, id := range ids {
+		e := g.Edges[id]
+		sub.AddEdge(local[e.U], local[e.V], e.W)
 	}
-	sub := graph.New(len(toLocal))
-	for _, e := range edges {
-		sub.AddEdge(toLocal[e.U], toLocal[e.V], e.W)
-	}
-	return sub, toLocal
+	return sub
 }

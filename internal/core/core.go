@@ -157,25 +157,134 @@ const capSlack = 32
 // order. Every algorithm keeps its items (vertices, edges, elements, sets)
 // in such a partition: the ascending per-machine order is the iteration
 // order the pre-drawn sampling plans replay, so it is part of the
-// determinism contract — see DESIGN.md.
+// determinism contract — see DESIGN.md. The rows are carved out of one
+// slab by a count-then-fill pass, so the partition costs three allocations
+// whatever count is.
 func partitionByOwner(count, machines int, owner func(id int) int) [][]int {
-	out := make([][]int, machines)
+	sizes := make([]int, machines)
 	for id := 0; id < count; id++ {
-		out[owner(id)] = append(out[owner(id)], id)
+		sizes[owner(id)]++
+	}
+	out := make([][]int, machines)
+	slab := make([]int, count)
+	lo := 0
+	for k, size := range sizes {
+		out[k] = slab[lo : lo : lo+size]
+		lo += size
+	}
+	for id := 0; id < count; id++ {
+		k := owner(id)
+		out[k] = append(out[k], id)
 	}
 	return out
 }
 
-// armPlanned arms every machine whose pre-drawn per-machine plan is
-// non-empty — the common sparse-scheduling pattern of the sampling rounds,
-// where the driver already knows exactly which machines will send.
-func armPlanned[T any](c *mpc.Cluster, plan [][]T) {
-	for machine, p := range plan {
-		if len(p) > 0 {
+// roundPlan is one round's pre-drawn per-machine plan laid out flat. The
+// sampling loops draw machine by machine in ascending order, so machine
+// k's entries are the contiguous run items[start[k]:start[k+1]] of one
+// slab, and items as a whole is the submission order (machine order, then
+// item order) the central machine receives. A plan is reset and refilled
+// every round on the same backing arrays.
+type roundPlan[T any] struct {
+	items []T
+	start []int
+}
+
+// reset empties the plan; machine 0 (the central machine) never samples,
+// so its run is empty and machine 1's run begins at 0.
+func (p *roundPlan[T]) reset() {
+	p.items = p.items[:0]
+	p.start = append(p.start[:0], 0, 0)
+}
+
+// add appends an entry to the current machine's run.
+func (p *roundPlan[T]) add(x T) { p.items = append(p.items, x) }
+
+// next closes the current machine's run; call it once per machine, in
+// ascending machine order.
+func (p *roundPlan[T]) next() { p.start = append(p.start, len(p.items)) }
+
+// of returns machine's run.
+func (p *roundPlan[T]) of(machine int) []T {
+	return p.items[p.start[machine]:p.start[machine+1]]
+}
+
+// arm arms every machine whose run is non-empty — the common
+// sparse-scheduling pattern of the sampling rounds, where the driver
+// already knows exactly which machines will send.
+func (p *roundPlan[T]) arm(c *mpc.Cluster) {
+	for machine := 0; machine+1 < len(p.start); machine++ {
+		if p.start[machine+1] > p.start[machine] {
 			c.Arm(machine)
 		}
 	}
 }
+
+// buckets groups int items under dense keys 0..keys-1 with a
+// count-then-fill pass: count every (key, item) pair, call fill, then put
+// the same pairs in the same order. Bucket k is then items[off[k]:off[k+1]]
+// with its items in put order, and walking the keys in ascending order
+// replaces collecting and sorting the keys of a map. The backing arrays
+// are reused across rounds.
+type buckets struct {
+	// off has keys+2 entries. After counting, off[k+2] is bucket k's size;
+	// fill turns the sizes into bucket starts shifted up one slot, so
+	// off[k+1] is bucket k's write cursor during put and its end after.
+	off   []int
+	items []int
+}
+
+// reset starts a new grouping over keys buckets.
+func (b *buckets) reset(keys int) {
+	if cap(b.off) < keys+2 {
+		b.off = make([]int, keys+2)
+	} else {
+		b.off = b.off[:keys+2]
+		clear(b.off)
+	}
+}
+
+// count records one future put under key.
+func (b *buckets) count(key int) { b.off[key+2]++ }
+
+// fill lays the buckets out; the counted pairs must follow through put.
+func (b *buckets) fill() {
+	for k := 2; k < len(b.off); k++ {
+		b.off[k] += b.off[k-1]
+	}
+	total := b.off[len(b.off)-1]
+	if cap(b.items) < total {
+		b.items = make([]int, total)
+	}
+	b.items = b.items[:total]
+}
+
+// put appends item to bucket key.
+func (b *buckets) put(key, item int) {
+	b.items[b.off[key+1]] = item
+	b.off[key+1]++
+}
+
+// of returns bucket key.
+func (b *buckets) of(key int) []int { return b.items[b.off[key]:b.off[key+1]] }
+
+// stamps is a dense per-id membership set that empties in O(1): id is a
+// member while at[id] equals the current epoch, and next starts a new,
+// empty set. It replaces a map[int]bool working set that would be
+// rebuilt every round.
+type stamps struct {
+	at    []int
+	epoch int
+}
+
+func newStamps(n int) stamps { return stamps{at: make([]int, n), epoch: 1} }
+
+// next empties the set.
+func (s *stamps) next() { s.epoch++ }
+
+func (s *stamps) has(id int) bool { return s.at[id] == s.epoch }
+
+func (s *stamps) add(id int) { s.at[id] = s.epoch }
 
 // dataMachines returns the cluster size for a layout with a dedicated
 // central machine (machine 0) plus enough data machines to hold inputWords

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -64,23 +64,11 @@ func FilteringMatching(g *graph.Graph, p Params) (*FilteringResult, error) {
 	var matching []int
 	iterations := 0
 
-	// centralMaximal adds a maximal matching over the given edge ids
-	// (respecting already-matched vertices) and returns the newly matched
-	// vertices.
-	centralMaximal := func(ids []int) []int {
-		sort.Ints(ids)
-		var newly []int
-		for _, id := range ids {
-			e := g.Edges[id]
-			if !matched[e.U] && !matched[e.V] {
-				matched[e.U] = true
-				matched[e.V] = true
-				matching = append(matching, id)
-				newly = append(newly, e.U, e.V)
-			}
-		}
-		return newly
-	}
+	// Per-iteration scratch, reused across iterations: the flat sampling
+	// plan, the newly matched vertices and the alive counts.
+	var plan roundPlan[int]
+	var newly []int64
+	counts := make([]int64, M)
 
 	for aliveCount > 0 {
 		if iterations >= p.maxIter() {
@@ -94,40 +82,50 @@ func FilteringMatching(g *graph.Graph, p Params) (*FilteringResult, error) {
 		}
 		// Draw the sample machine by machine before the round; the closures
 		// replay each machine's plan concurrently.
-		var sampled []int
-		plan := make([][]int64, M)
+		plan.reset()
 		for machine := 1; machine < M; machine++ {
 			for _, id := range ownedEdges[machine] {
 				if !alive[id] {
 					continue
 				}
 				if final || r.Bernoulli(prob) {
-					plan[machine] = append(plan[machine], int64(id))
-					sampled = append(sampled, id)
+					plan.add(id)
 				}
 			}
+			plan.next()
 		}
-		armPlanned(cluster, plan)
+		plan.arm(cluster)
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, id := range plan[machine] {
-				out.SendInts(0, id)
+			for _, id := range plan.of(machine) {
+				out.SendInts(0, int64(id))
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		newly := centralMaximal(sampled)
+		// The central machine adds a maximal matching over the sampled
+		// edges in ascending id order, respecting already-matched
+		// vertices. The round has shipped the plan, so the sample is
+		// sorted in place.
+		sampled := plan.items
+		slices.Sort(sampled)
+		newly = newly[:0]
+		for _, id := range sampled {
+			e := g.Edges[id]
+			if !matched[e.U] && !matched[e.V] {
+				matched[e.U] = true
+				matched[e.V] = true
+				matching = append(matching, id)
+				newly = append(newly, int64(e.U), int64(e.V))
+			}
+		}
 
 		// Broadcast the newly matched vertices down the tree; owners kill
 		// incident edges.
-		payload := make([]int64, len(newly))
-		for i, v := range newly {
-			payload[i] = int64(v)
-		}
-		if err := tree.Broadcast(cluster, payload, nil); err != nil {
+		if err := tree.Broadcast(cluster, newly, nil); err != nil {
 			return nil, err
 		}
-		counts := make([]int64, M)
+		clear(counts)
 		for id := 0; id < m; id++ {
 			if alive[id] {
 				e := g.Edges[id]
@@ -140,7 +138,7 @@ func FilteringMatching(g *graph.Graph, p Params) (*FilteringResult, error) {
 			}
 		}
 		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
+			return counts[machine : machine+1]
 		})
 		if err != nil {
 			return nil, err

@@ -197,10 +197,33 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		return nil, err
 	}
 	res := &CoverResult{}
-	type sampleEntry struct {
-		set   int
-		elems []int // uncovered elements at sampling time
+	// Each class i has 2·m^{(i+1)α} groups; group gid of class i is the
+	// flat group key groupBase[i]+gid.
+	width := classes + 1
+	numGroups := make([]int, width)
+	groupBase := make([]int, width+1)
+	for i := 1; i <= classes; i++ {
+		numGroups[i] = int(math.Ceil(2 * math.Pow(mf, float64(i+1)*alpha)))
+		groupBase[i+1] = groupBase[i] + numGroups[i]
 	}
+	// A sampled set: its group ids and its uncovered elements at sampling
+	// time, both carved from per-iteration slabs.
+	type sampleEntry struct {
+		set         int
+		gids, elems []int
+	}
+	// Per-iteration scratch, reused across iterations.
+	var (
+		entries   []sampleEntry
+		gidSlab   []int
+		elemSlab  []int
+		members   []int // (group key, entry index) pairs in draw order
+		groups    buckets
+		plan      roundPlan[int] // entry indices per machine
+		deltaC    []int64
+		classSlab = make([]int64, M*width)
+		newly     = newStamps(m)
+	)
 
 	for coveredCount < m {
 		if res.Iterations >= p.maxIter() {
@@ -225,17 +248,14 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		}
 
 		// Aggregate class sizes |S_{k,i}| over the tree.
-		machineClass := make([][]int64, M)
-		for machine := range machineClass {
-			machineClass[machine] = make([]int64, classes+1)
-		}
+		clear(classSlab)
 		for i := 0; i < n; i++ {
 			if eligible(i) {
-				machineClass[setOwner(i)][classOf(uncov[i])]++
+				classSlab[setOwner(i)*width+classOf(uncov[i])]++
 			}
 		}
-		classCounts, err := tree.AllReduceSum(cluster, classes+1, func(machine int) []int64 {
-			return machineClass[machine]
+		classCounts, err := tree.AllReduceSum(cluster, width, func(machine int) []int64 {
+			return classSlab[machine*width : (machine+1)*width]
 		})
 		if err != nil {
 			return nil, err
@@ -244,20 +264,11 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// Sampling round: each eligible set joins each of its class's
 		// 2·m^{(i+1)α} groups independently with probability
 		// min(1, m^{µ/2}/|S_{k,i}|); the set ships its uncovered elements
-		// plus its group list to the central machine.
-		numGroups := make([]int, classes+1)
-		for i := 1; i <= classes; i++ {
-			numGroups[i] = int(math.Ceil(2 * math.Pow(mf, float64(i+1)*alpha)))
-		}
-		groupsByClass := make([][][]sampleEntry, classes+1)
-		for i := 1; i <= classes; i++ {
-			groupsByClass[i] = make([][]sampleEntry, numGroups[i])
-		}
-		overflow := false
-		// Draw each machine's group memberships before the round (machine
-		// order, then set order); the closures replay the per-machine
-		// payload plans concurrently.
-		plan := make([][][]int64, M)
+		// plus its group list to the central machine. Each machine's group
+		// memberships are drawn before the round (machine order, then set
+		// order); the closures replay the per-machine plans concurrently.
+		entries, gidSlab, elemSlab, members = entries[:0], gidSlab[:0], elemSlab[:0], members[:0]
+		plan.reset()
 		for machine := 1; machine < M; machine++ {
 			for _, i := range ownedSets[machine] {
 				if !eligible(i) {
@@ -272,46 +283,60 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 				if k == 0 {
 					continue
 				}
-				gids := r.SampleWithoutReplacement(numGroups[cls], k)
-				elems := make([]int, 0, uncov[i])
+				g0 := len(gidSlab)
+				gidSlab = r.SampleInto(gidSlab, numGroups[cls], k)
+				e0 := len(elemSlab)
 				for _, e := range inst.Sets[i] {
 					if !covered[e] {
-						elems = append(elems, e)
+						elemSlab = append(elemSlab, e)
 					}
 				}
-				payload := make([]int64, 0, len(elems)+len(gids)+2)
-				payload = append(payload, int64(i), int64(len(gids)))
-				for _, gid := range gids {
-					payload = append(payload, int64(gid))
+				plan.add(len(entries))
+				for _, gid := range gidSlab[g0:] {
+					members = append(members, groupBase[cls]+gid, len(entries))
 				}
-				for _, e := range elems {
-					payload = append(payload, int64(e))
-				}
-				plan[machine] = append(plan[machine], payload)
-				entry := sampleEntry{set: i, elems: elems}
-				for _, gid := range gids {
-					groupsByClass[cls][gid] = append(groupsByClass[cls][gid], entry)
-				}
+				entries = append(entries, sampleEntry{set: i,
+					gids:  gidSlab[g0:len(gidSlab):len(gidSlab)],
+					elems: elemSlab[e0:len(elemSlab):len(elemSlab)]})
 			}
+			plan.next()
 		}
-		armPlanned(cluster, plan)
+		plan.arm(cluster)
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, payload := range plan[machine] {
-				out.Send(0, payload, nil)
+			for _, k := range plan.of(machine) {
+				entry := &entries[k]
+				out.Begin(0)
+				out.Int(int64(entry.set))
+				out.Int(int64(len(entry.gids)))
+				for _, gid := range entry.gids {
+					out.Int(int64(gid))
+				}
+				for _, e := range entry.elems {
+					out.Int(int64(e))
+				}
+				out.End()
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
+		// Every group's members in arrival order.
+		groups.reset(groupBase[width])
+		for j := 0; j < len(members); j += 2 {
+			groups.count(members[j])
+		}
+		groups.fill()
+		for j := 0; j < len(members); j += 2 {
+			groups.put(members[j], members[j+1])
+		}
 		// Claim 4.1 check: any group larger than 4·m^{µ/2} fails this
 		// iteration (Lines 15-17: skip to the next iteration).
 		maxGroup := int(math.Ceil(4 * groupSample))
-		for i := 1; i <= classes && !overflow; i++ {
-			for _, grp := range groupsByClass[i] {
-				if len(grp) > maxGroup {
-					overflow = true
-					break
-				}
+		overflow := false
+		for key := 0; key < groupBase[width]; key++ {
+			if len(groups.of(key)) > maxGroup {
+				overflow = true
+				break
 			}
 		}
 		if overflow {
@@ -320,11 +345,12 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 
 		// Central machine (Lines 18-22): per class, per group, add the
 		// first set that still has ≥ m^{1-(i+1)α}/2 uncovered elements.
-		var deltaC []int64
+		deltaC = deltaC[:0]
 		for i := 1; i <= classes; i++ {
 			threshold := math.Pow(mf, 1-float64(i+1)*alpha) / 2
-			for _, grp := range groupsByClass[i] {
-				for _, entry := range grp {
+			for key := groupBase[i]; key < groupBase[i+1]; key++ {
+				for _, k := range groups.of(key) {
+					entry := &entries[k]
 					if inSolution[entry.set] {
 						continue
 					}
@@ -356,16 +382,16 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		if err := tree.Broadcast(cluster, deltaC, nil); err != nil {
 			return nil, err
 		}
-		newlyCovered := make(map[int]bool, len(deltaC))
+		newly.next()
 		for _, e := range deltaC {
-			newlyCovered[int(e)] = true
+			newly.add(int(e))
 		}
 		for i := 0; i < n; i++ {
 			if uncov[i] == 0 {
 				continue
 			}
 			for _, e := range inst.Sets[i] {
-				if newlyCovered[e] {
+				if newly.has(e) {
 					uncov[i]--
 				}
 			}
@@ -394,23 +420,27 @@ func remark47Gamma(cluster *mpc.Cluster, tree *mpc.Tree, inst *setcover.Instance
 	for j := range minW {
 		minW[j] = math.Inf(1)
 	}
-	ints := make([][]int64, cluster.M())
-	floats := make([][]float64, cluster.M())
+	var ints roundPlan[int64]
+	var floats roundPlan[float64]
+	ints.reset()
+	floats.reset()
 	for machine := 1; machine < cluster.M(); machine++ {
 		for _, i := range ownedSets[machine] {
 			for _, e := range inst.Sets[i] {
-				ints[machine] = append(ints[machine], int64(e))
-				floats[machine] = append(floats[machine], inst.Weights[i])
+				ints.add(int64(e))
+				floats.add(inst.Weights[i])
 				if inst.Weights[i] < minW[e] {
 					minW[e] = inst.Weights[i]
 				}
 			}
 		}
+		ints.next()
+		floats.next()
 	}
-	armPlanned(cluster, ints)
+	ints.arm(cluster)
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		if len(ints[machine]) > 0 {
-			out.Send(0, ints[machine], floats[machine])
+		if len(ints.of(machine)) > 0 {
+			out.Send(0, ints.of(machine), floats.of(machine))
 		}
 	})
 	if err != nil {

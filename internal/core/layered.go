@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -64,6 +64,9 @@ func FilteringWeightedMatching(g *graph.Graph, p Params) (*MatchingResult, error
 
 	// filterClass runs the unweighted filtering loop over the edges of one
 	// weight class, respecting the globally matched vertices.
+	var plan roundPlan[int]
+	var newly []int64
+	counts := make([]int64, M)
 	filterClass := func(class int) error {
 		alive := make([]bool, m)
 		aliveCount := int64(0)
@@ -83,30 +86,30 @@ func FilteringWeightedMatching(g *graph.Graph, p Params) (*MatchingResult, error
 			if !final {
 				prob = math.Min(1, float64(etaWords)/float64(aliveCount))
 			}
-			var sampled []int
-			plan := make([][]int64, M)
+			plan.reset()
 			for machine := 1; machine < M; machine++ {
 				for _, id := range ownedEdges[machine] {
 					if !alive[id] {
 						continue
 					}
 					if final || r.Bernoulli(prob) {
-						plan[machine] = append(plan[machine], int64(id))
-						sampled = append(sampled, id)
+						plan.add(id)
 					}
 				}
+				plan.next()
 			}
-			armPlanned(cluster, plan)
+			plan.arm(cluster)
 			err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				for _, id := range plan[machine] {
-					out.SendInts(0, id)
+				for _, id := range plan.of(machine) {
+					out.SendInts(0, int64(id))
 				}
 			})
 			if err != nil {
 				return err
 			}
-			sort.Ints(sampled)
-			var newly []int64
+			sampled := plan.items // shipped: sorted in place
+			slices.Sort(sampled)
+			newly = newly[:0]
 			for _, id := range sampled {
 				e := g.Edges[id]
 				if !matched[e.U] && !matched[e.V] {
@@ -119,7 +122,7 @@ func FilteringWeightedMatching(g *graph.Graph, p Params) (*MatchingResult, error
 			if err := tree.Broadcast(cluster, newly, nil); err != nil {
 				return err
 			}
-			counts := make([]int64, M)
+			clear(counts)
 			for id := 0; id < m; id++ {
 				if alive[id] {
 					e := g.Edges[id]
@@ -132,7 +135,7 @@ func FilteringWeightedMatching(g *graph.Graph, p Params) (*MatchingResult, error
 				}
 			}
 			total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-				return []int64{counts[machine]}
+				return counts[machine : machine+1]
 			})
 			if err != nil {
 				return err
@@ -218,11 +221,13 @@ func LayeredParallelMatching(g *graph.Graph, p Params, eps float64) (*MatchingRe
 
 	// Per-class matched-vertex sets and matchings, filtered in lockstep:
 	// every iteration samples each class's alive edges in one shared round.
-	matchedIn := make([]map[int]bool, maxClass+1)
+	// matchedIn is one dense bitmap per class, laid end to end: vertex v is
+	// matched in class c iff matchedIn[c*n+v].
+	matchedIn := make([]bool, (maxClass+1)*n)
 	classMatch := make([][]int, maxClass+1)
-	for c := range matchedIn {
-		matchedIn[c] = make(map[int]bool)
-	}
+	var plan roundPlan[int]
+	var newly []int64
+	counts := make([]int64, M)
 	alive := make([]bool, m)
 	aliveCount := int64(0)
 	for id := range alive {
@@ -240,36 +245,36 @@ func LayeredParallelMatching(g *graph.Graph, p Params, eps float64) (*MatchingRe
 		if !final {
 			prob = math.Min(1, float64(etaWords)/float64(aliveCount))
 		}
-		var sampled []int
-		plan := make([][]int64, M)
+		plan.reset()
 		for machine := 1; machine < M; machine++ {
 			for _, id := range ownedEdges[machine] {
 				if !alive[id] {
 					continue
 				}
 				if final || r.Bernoulli(prob) {
-					plan[machine] = append(plan[machine], int64(id))
-					sampled = append(sampled, id)
+					plan.add(id)
 				}
 			}
+			plan.next()
 		}
-		armPlanned(cluster, plan)
+		plan.arm(cluster)
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, id := range plan[machine] {
-				out.SendInts(0, id)
+			for _, id := range plan.of(machine) {
+				out.SendInts(0, int64(id))
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		sort.Ints(sampled)
-		var newly []int64
+		sampled := plan.items // shipped: sorted in place
+		slices.Sort(sampled)
+		newly = newly[:0]
 		for _, id := range sampled {
 			e := g.Edges[id]
 			c := classOf(e.W)
-			if !matchedIn[c][e.U] && !matchedIn[c][e.V] {
-				matchedIn[c][e.U] = true
-				matchedIn[c][e.V] = true
+			if !matchedIn[c*n+e.U] && !matchedIn[c*n+e.V] {
+				matchedIn[c*n+e.U] = true
+				matchedIn[c*n+e.V] = true
 				classMatch[c] = append(classMatch[c], id)
 				newly = append(newly, int64(c), int64(e.U), int64(e.V))
 			}
@@ -277,12 +282,12 @@ func LayeredParallelMatching(g *graph.Graph, p Params, eps float64) (*MatchingRe
 		if err := tree.Broadcast(cluster, newly, nil); err != nil {
 			return nil, err
 		}
-		counts := make([]int64, M)
+		clear(counts)
 		for id := 0; id < m; id++ {
 			if alive[id] {
 				e := g.Edges[id]
 				c := classOf(e.W)
-				if matchedIn[c][e.U] || matchedIn[c][e.V] || final {
+				if matchedIn[c*n+e.U] || matchedIn[c*n+e.V] || final {
 					alive[id] = false
 				}
 			}
@@ -291,7 +296,7 @@ func LayeredParallelMatching(g *graph.Graph, p Params, eps float64) (*MatchingRe
 			}
 		}
 		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
+			return counts[machine : machine+1]
 		})
 		if err != nil {
 			return nil, err

@@ -47,6 +47,15 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		cluster.SetResident(machine, resident[machine])
 	}
 
+	// Per-iteration state, reused across iterations. lowest[v] records
+	// that v heard of a better neighbour; like every per-vertex array it is
+	// written only by v's owner, which clears it again after reading.
+	priority := make([]float64, n)
+	hasAlive := make([]bool, M)
+	lowest := make([]bool, n)
+	localMin := make([]bool, n)
+	counts := make([]int64, M)
+
 	aliveCount := int64(n)
 	iterations := 0
 	for aliveCount > 0 {
@@ -63,8 +72,8 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		// vertex (an isolated alive vertex receives no traffic but must
 		// still declare itself a local minimum), so those machines are
 		// armed and retired machines go dormant.
-		priority := make([]float64, n)
-		hasAlive := make([]bool, M)
+		clear(priority)
+		clear(hasAlive)
 		for machine := 1; machine < M; machine++ {
 			for _, v := range owned[machine] {
 				if aliveVertex(v) {
@@ -108,10 +117,9 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 			}
 			return u < v
 		}
-		localMin := make([]bool, n)
+		clear(localMin)
 		armAlive()
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			lowest := make(map[int]bool) // v -> seen a better neighbour
 			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
 				u := int(msg.Ints[0]) // recipient vertex
 				v := int(msg.Ints[1]) // sending neighbour
@@ -120,10 +128,12 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 				}
 			}
 			for _, v := range owned[machine] {
+				beaten := lowest[v]
+				lowest[v] = false
 				if !aliveVertex(v) {
 					continue
 				}
-				if !lowest[v] {
+				if !beaten {
 					localMin[v] = true
 					for _, u := range g.Neighbors(v) {
 						if !inI[u] && !dominated[u] {
@@ -157,14 +167,14 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 			}
 		}
 
-		counts := make([]int64, M)
+		clear(counts)
 		for v := 0; v < n; v++ {
 			if aliveVertex(v) {
 				counts[vertexOwner(v)]++
 			}
 		}
 		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
+			return counts[machine : machine+1]
 		})
 		if err != nil {
 			return nil, err

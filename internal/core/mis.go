@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -47,6 +47,18 @@ type misState struct {
 	inI       []bool // v ∈ I
 	dominated []bool // v ∈ N+(I) \ I
 	dI        []int  // alive degree: |N(v) \ N+(I)|, 0 if v ∈ N+(I)
+
+	// Per-round scratch, reused across rounds so a sampling round
+	// allocates O(M), not O(sample): the sampling plan, the arena its
+	// candidates' neighbour lists are carved from, the central machine's
+	// batch and its batch-local dominated set, and the per-machine counts
+	// the aggregations read.
+	plan   roundPlan[candidate]
+	arena  []int64
+	batch  centralBatch
+	marked stamps
+	groups [][]candidate
+	counts []int64
 }
 
 func (s *misState) vertexOwner(v int) int { return 1 + v%(s.M-1) }
@@ -63,6 +75,7 @@ func newMISState(g *graph.Graph, cluster *mpc.Cluster, r *rng.RNG) *misState {
 		inI:       make([]bool, g.N),
 		dominated: make([]bool, g.N),
 		dI:        make([]int, g.N),
+		marked:    newStamps(g.N),
 	}
 	s.owned = partitionByOwner(g.N, s.M, s.vertexOwner)
 	for v := 0; v < g.N; v++ {
@@ -80,30 +93,54 @@ func newMISState(g *graph.Graph, cluster *mpc.Cluster, r *rng.RNG) *misState {
 }
 
 // aliveNeighbours returns v's neighbours outside N+(I), scanning the
-// contiguous CSR neighbour slice (no edge-id indirection).
+// contiguous CSR neighbour slice (no edge-id indirection). The list is
+// carved from the round's arena, so it stays valid until the next
+// sampling round resets the arena.
 func (s *misState) aliveNeighbours(v int) []int64 {
-	var out []int64
+	lo := len(s.arena)
 	for _, u := range s.g.Neighbors(v) {
 		if !s.inI[u] && !s.dominated[u] {
-			out = append(out, int64(u))
+			s.arena = append(s.arena, int64(u))
 		}
 	}
-	return out
+	return s.arena[lo:len(s.arena):len(s.arena)]
 }
 
-// addToIFromLists marks the vertices in add as members of I and their listed
-// alive neighbours as dominated, returning the newly dominated vertices
-// (including the I members themselves for ownership notification purposes).
+// reduceCounts sums one int64 per machine over the tree, reusing the
+// per-machine count buffer fill writes into.
+func (s *misState) reduceCounts(tree *mpc.Tree, fill func(counts []int64)) (int64, error) {
+	if s.counts == nil {
+		s.counts = make([]int64, s.M)
+	}
+	clear(s.counts)
+	fill(s.counts)
+	total, err := tree.AllReduceSum(s.cluster, 1, func(machine int) []int64 {
+		return s.counts[machine : machine+1]
+	})
+	if err != nil {
+		return 0, err
+	}
+	return total[0], nil
+}
+
+// centralBatch is one batch of central decisions: the vertices that joined
+// I and the alive vertices they newly dominate.
 type centralBatch struct {
 	added        []int
 	newDominated []int
+}
+
+// reset empties the batch, keeping its buffers.
+func (b *centralBatch) reset() {
+	b.added = b.added[:0]
+	b.newDominated = b.newDominated[:0]
 }
 
 // disseminate ships the batch results back to the vertex owners (one routed
 // round), then lets owners notify their dominated vertices' neighbours so
 // every alive vertex can update dI (a second routed round plus a delivery
 // round), mirroring the update step of Theorem 3.3's proof sketch.
-func (s *misState) disseminate(batch centralBatch) error {
+func (s *misState) disseminate(batch *centralBatch) error {
 	// Round 1: central tells each owner which of its vertices entered I or
 	// became dominated. Only the central machine acts on an empty inbox;
 	// rounds 2 and 3 are driven entirely by delivered records.
@@ -153,17 +190,6 @@ func (s *misState) disseminate(batch centralBatch) error {
 	})
 }
 
-// centralProcessGroups runs the hungry-greedy inner loop on the central
-// machine: candidates arrive in groups; from each group the first vertex
-// whose current alive degree (w.r.t. the central machine's view of N+(I))
-// is at least threshold joins I. Candidate lists were computed against the
-// alive set at sampling time; the central machine re-filters them against
-// its batch-local dominated set, exactly as the paper's central machine can
-// (it holds the sampled neighbour lists).
-func (s *misState) centralProcessGroups(groups [][]candidate, threshold int) centralBatch {
-	return s.centralProcessGroupsWithState(groups, threshold, make(map[int]bool))
-}
-
 type candidate struct {
 	v         int
 	aliveNbrs []int64
@@ -173,26 +199,26 @@ type candidate struct {
 // include(v) is true joins the sample with probability prob and ships
 // (v, alive neighbour list) to the central machine. The sampling decisions
 // are drawn up front in machine order, then vertex order — the order the
-// machines would draw in — into a per-machine plan, which the round's
+// machines would draw in — into the per-machine plan, which the round's
 // closures replay concurrently. The returned candidates are in submission
-// order (machine order, then vertex order), which the central machine chops
-// into groups.
-func (s *misState) sampleToCentral(include func(v int) bool, prob float64) ([]candidate, error) {
-	plan := make([][]candidate, s.M)
-	var sample []candidate
+// order (machine order, then vertex order), which the central machine
+// chops into groups; they alias the round scratch and stay valid until the
+// next sampling round.
+func (s *misState) sampleToCentral(include func(v int) bool, prob func(v int) float64) ([]candidate, error) {
+	s.plan.reset()
+	s.arena = s.arena[:0]
 	for machine := 1; machine < s.M; machine++ {
 		for _, v := range s.owned[machine] {
-			if !include(v) || !s.r.Bernoulli(prob) {
+			if !include(v) || !s.r.Bernoulli(prob(v)) {
 				continue
 			}
-			cand := candidate{v: v, aliveNbrs: s.aliveNeighbours(v)}
-			plan[machine] = append(plan[machine], cand)
-			sample = append(sample, cand)
+			s.plan.add(candidate{v: v, aliveNbrs: s.aliveNeighbours(v)})
 		}
+		s.plan.next()
 	}
-	armPlanned(s.cluster, plan)
+	s.plan.arm(s.cluster)
 	err := s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, cand := range plan[machine] {
+		for _, cand := range s.plan.of(machine) {
 			out.Begin(0)
 			out.Int(int64(cand.v))
 			out.Ints(cand.aliveNbrs...)
@@ -202,68 +228,73 @@ func (s *misState) sampleToCentral(include func(v int) bool, prob float64) ([]ca
 	if err != nil {
 		return nil, err
 	}
-	return sample, nil
+	return s.plan.items, nil
 }
 
-// chopGroups splits a shuffled sample into groups of the given size.
-func chopGroups(r *rng.RNG, sample []candidate, groupSize int) [][]candidate {
-	r.Shuffle(len(sample), func(i, j int) { sample[i], sample[j] = sample[j], sample[i] })
+// always is the sampling probability of a full gather.
+func always(int) float64 { return 1 }
+
+// chopGroups shuffles a sample and splits it into groups of the given
+// size, reusing the state's group buffer.
+func (s *misState) chopGroups(sample []candidate, groupSize int) [][]candidate {
+	s.r.Shuffle(len(sample), func(i, j int) { sample[i], sample[j] = sample[j], sample[i] })
 	if groupSize < 1 {
 		groupSize = 1
 	}
-	var groups [][]candidate
+	s.groups = s.groups[:0]
 	for i := 0; i < len(sample); i += groupSize {
-		end := i + groupSize
-		if end > len(sample) {
-			end = len(sample)
-		}
-		groups = append(groups, sample[i:end])
+		s.groups = append(s.groups, sample[i:min(i+groupSize, len(sample))])
 	}
-	return groups
+	return s.groups
+}
+
+// singletons returns one group per candidate, in ascending vertex order.
+func (s *misState) singletons(sample []candidate) [][]candidate {
+	slices.SortFunc(sample, func(a, b candidate) int { return a.v - b.v })
+	s.groups = s.groups[:0]
+	for k := range sample {
+		s.groups = append(s.groups, sample[k:k+1])
+	}
+	return s.groups
 }
 
 // finishCentrally gathers the remaining alive vertices with their alive
 // adjacency onto the central machine (one round) and completes the
 // independent set greedily.
 func (s *misState) finishCentrally() error {
-	leftovers, err := s.sampleToCentral(s.aliveVertex, 1)
+	leftovers, err := s.sampleToCentral(s.aliveVertex, always)
 	if err != nil {
 		return err
 	}
-	sort.Slice(leftovers, func(i, j int) bool { return leftovers[i].v < leftovers[j].v })
-	blocked := make(map[int]bool)
-	var batch centralBatch
+	slices.SortFunc(leftovers, func(a, b candidate) int { return a.v - b.v })
+	s.batch.reset()
+	s.marked.next() // blocked: I members and vertices they dominate
 	for _, cand := range leftovers {
-		if blocked[cand.v] {
+		if s.marked.has(cand.v) {
 			continue
 		}
-		batch.added = append(batch.added, cand.v)
-		blocked[cand.v] = true
+		s.batch.added = append(s.batch.added, cand.v)
+		s.marked.add(cand.v)
 		for _, u := range cand.aliveNbrs {
-			if !blocked[int(u)] {
-				batch.newDominated = append(batch.newDominated, int(u))
-				blocked[int(u)] = true
+			if !s.marked.has(int(u)) {
+				s.batch.newDominated = append(s.batch.newDominated, int(u))
+				s.marked.add(int(u))
 			}
 		}
 	}
-	return s.disseminate(batch)
+	return s.disseminate(&s.batch)
 }
 
 // aliveEdgeCount aggregates Σ_v alive dI(v) / 2 = |E_k| over the tree.
 func (s *misState) aliveEdgeCount(tree *mpc.Tree) (int64, error) {
-	counts := make([]int64, s.M)
-	for v := 0; v < s.g.N; v++ {
-		if s.aliveVertex(v) {
-			counts[s.vertexOwner(v)] += int64(s.dI[v])
+	total, err := s.reduceCounts(tree, func(counts []int64) {
+		for v := 0; v < s.g.N; v++ {
+			if s.aliveVertex(v) {
+				counts[s.vertexOwner(v)] += int64(s.dI[v])
+			}
 		}
-	}
-	total, err := tree.AllReduceSum(s.cluster, 1, func(machine int) []int64 {
-		return []int64{counts[machine]}
 	})
-	if err != nil {
-		return 0, err
-	}
-	return total[0] / 2, nil
+	return total / 2, err
 }
 
 // result assembles the final MISResult. The membership bitmap s.inI is the
@@ -317,38 +348,32 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 				return nil, fmt.Errorf("core: MIS exceeded %d iterations", p.maxIter())
 			}
 			// Count heavy vertices (aggregated over the tree).
-			counts := make([]int64, M)
-			for v := 0; v < n; v++ {
-				if s.aliveVertex(v) && s.dI[v] >= threshold {
-					counts[s.vertexOwner(v)]++
+			heavySet := func(v int) bool { return s.aliveVertex(v) && s.dI[v] >= threshold }
+			heavy, err := s.reduceCounts(tree, func(counts []int64) {
+				for v := 0; v < n; v++ {
+					if heavySet(v) {
+						counts[s.vertexOwner(v)]++
+					}
 				}
-			}
-			total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-				return []int64{counts[machine]}
 			})
 			if err != nil {
 				return nil, err
 			}
-			heavy := total[0]
 			if heavy == 0 {
 				break
 			}
+			s.batch.reset()
+			s.marked.next()
 			if float64(heavy) < heavyMin {
 				// Line 12: fewer than n^{iα} heavy vertices remain; gather
 				// them and finish the phase centrally with a greedy MIS
 				// restricted to V_H.
-				heavySet := func(v int) bool { return s.aliveVertex(v) && s.dI[v] >= threshold }
-				sample, err := s.sampleToCentral(heavySet, 1)
+				sample, err := s.sampleToCentral(heavySet, always)
 				if err != nil {
 					return nil, err
 				}
-				sort.Slice(sample, func(a, b int) bool { return sample[a].v < sample[b].v })
-				groups := make([][]candidate, len(sample))
-				for k := range sample {
-					groups[k] = sample[k : k+1]
-				}
-				batch := s.centralProcessGroups(groups, 0)
-				if err := s.disseminate(batch); err != nil {
+				s.processGroups(s.singletons(sample), 0)
+				if err := s.disseminate(&s.batch); err != nil {
 					return nil, err
 				}
 				iterations++
@@ -359,14 +384,12 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 			// groups*groupSize/|V_H|).
 			target := heavyMin * float64(groupSize)
 			prob := math.Min(1, target/float64(heavy))
-			heavySet := func(v int) bool { return s.aliveVertex(v) && s.dI[v] >= threshold }
-			sample, err := s.sampleToCentral(heavySet, prob)
+			sample, err := s.sampleToCentral(heavySet, func(int) float64 { return prob })
 			if err != nil {
 				return nil, err
 			}
-			groups := chopGroups(r, sample, groupSize)
-			batch := s.centralProcessGroups(groups, threshold)
-			if err := s.disseminate(batch); err != nil {
+			s.processGroups(s.chopGroups(sample, groupSize), threshold)
+			if err := s.disseminate(&s.batch); err != nil {
 				return nil, err
 			}
 			iterations++
@@ -410,6 +433,12 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	groupSize := int(math.Ceil(math.Pow(nf, p.Mu/2)))
 	iterations := 0
 	var history []int64
+	// Per-iteration scratch: per-machine class counts (one slab, width
+	// classes+1 per machine) and the sample bucketed by class.
+	width := classes + 1
+	classSlab := make([]int64, M*width)
+	var byClass buckets
+	var classSample []candidate
 
 	for {
 		if iterations >= p.maxIter() {
@@ -441,23 +470,18 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 			}
 			return i
 		}
-		classCounts := make([]int64, classes+1)
-		machineClassCounts := make([][]int64, M)
-		for machine := range machineClassCounts {
-			machineClassCounts[machine] = make([]int64, classes+1)
-		}
+		clear(classSlab)
 		for v := 0; v < n; v++ {
 			if i := classOf(v); i >= 1 {
-				machineClassCounts[s.vertexOwner(v)][i]++
+				classSlab[s.vertexOwner(v)*width+i]++
 			}
 		}
-		totals, err := tree.AllReduceSum(cluster, classes+1, func(machine int) []int64 {
-			return machineClassCounts[machine]
+		classCounts, err := tree.AllReduceSum(cluster, width, func(machine int) []int64 {
+			return classSlab[machine*width : (machine+1)*width]
 		})
 		if err != nil {
 			return nil, err
 		}
-		copy(classCounts, totals)
 
 		sampleProb := func(v int) float64 {
 			i := classOf(v)
@@ -470,49 +494,38 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 		// Draw the sampling decisions machine by machine (each machine's
 		// vertices in ascending order), then replay the per-machine plans
 		// inside the round.
-		byClass := make([][]candidate, classes+1)
-		plan := make([][]candidate, M)
-		for machine := 1; machine < M; machine++ {
-			for _, v := range s.owned[machine] {
-				i := classOf(v)
-				if i < 1 || !r.Bernoulli(sampleProb(v)) {
-					continue
-				}
-				cand := candidate{v: v, aliveNbrs: s.aliveNeighbours(v)}
-				plan[machine] = append(plan[machine], cand)
-				byClass[i] = append(byClass[i], cand)
-			}
-		}
-		armPlanned(cluster, plan)
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, cand := range plan[machine] {
-				out.Begin(0)
-				out.Int(int64(cand.v))
-				out.Ints(cand.aliveNbrs...)
-				out.End()
-			}
-		})
+		sample, err := s.sampleToCentral(func(v int) bool { return classOf(v) >= 1 }, sampleProb)
 		if err != nil {
 			return nil, err
 		}
-		// Central machine: process classes in increasing i; threshold for
-		// class i is n^{1-(i+1)α}.
-		var batch centralBatch
-		batchDominated := make(map[int]bool)
+		// Central machine: bucket the sample by class (stable, so each
+		// class keeps submission order), then process classes in
+		// increasing i; threshold for class i is n^{1-(i+1)α}.
+		byClass.reset(classes + 1)
+		for _, cand := range sample {
+			byClass.count(classOf(cand.v))
+		}
+		byClass.fill()
+		for k, cand := range sample {
+			byClass.put(classOf(cand.v), k)
+		}
+		s.batch.reset()
+		s.marked.next()
 		for i := 1; i <= classes; i++ {
-			if len(byClass[i]) == 0 {
+			if len(byClass.of(i)) == 0 {
 				continue
 			}
 			threshold := int(math.Ceil(math.Pow(nf, 1-float64(i+1)*alpha)))
 			if threshold < 1 {
 				threshold = 1
 			}
-			groups := chopGroups(r, byClass[i], groupSize)
-			sub := s.centralProcessGroupsWithState(groups, threshold, batchDominated)
-			batch.added = append(batch.added, sub.added...)
-			batch.newDominated = append(batch.newDominated, sub.newDominated...)
+			classSample = classSample[:0]
+			for _, k := range byClass.of(i) {
+				classSample = append(classSample, sample[k])
+			}
+			s.processGroups(s.chopGroups(classSample, groupSize), threshold)
 		}
-		if err := s.disseminate(batch); err != nil {
+		if err := s.disseminate(&s.batch); err != nil {
 			return nil, err
 		}
 	}
@@ -524,12 +537,18 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	return res, nil
 }
 
-// centralProcessGroupsWithState is centralProcessGroups sharing a dominated
-// set across multiple class batches within the same iteration.
-func (s *misState) centralProcessGroupsWithState(groups [][]candidate, threshold int, batchDominated map[int]bool) centralBatch {
-	var batch centralBatch
+// processGroups runs the hungry-greedy inner loop on the central machine,
+// appending its decisions to s.batch: candidates arrive in groups; from
+// each group the first vertex whose current alive degree (w.r.t. the
+// central machine's view of N+(I)) is at least threshold joins I.
+// Candidate lists were computed against the alive set at sampling time;
+// the central machine re-filters them against its batch-local dominated
+// set s.marked, exactly as the paper's central machine can (it holds the
+// sampled neighbour lists). The caller starts the batch and the set; MISFast
+// shares them across the class batches of one iteration.
+func (s *misState) processGroups(groups [][]candidate, threshold int) {
 	isAlive := func(v int) bool {
-		return s.aliveVertex(v) && !batchDominated[v]
+		return s.aliveVertex(v) && !s.marked.has(v)
 	}
 	for _, group := range groups {
 		for _, cand := range group {
@@ -545,16 +564,15 @@ func (s *misState) centralProcessGroupsWithState(groups [][]candidate, threshold
 			if deg < threshold {
 				continue
 			}
-			batch.added = append(batch.added, cand.v)
-			batchDominated[cand.v] = true
+			s.batch.added = append(s.batch.added, cand.v)
+			s.marked.add(cand.v)
 			for _, u := range cand.aliveNbrs {
 				if isAlive(int(u)) {
-					batch.newDominated = append(batch.newDominated, int(u))
-					batchDominated[int(u)] = true
+					s.batch.newDominated = append(s.batch.newDominated, int(u))
+					s.marked.add(int(u))
 				}
 			}
 			break
 		}
 	}
-	return batch
 }

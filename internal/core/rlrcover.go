@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/mpc"
 	"repro/internal/rng"
@@ -116,6 +116,12 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 	}
 
 	res := &CoverResult{}
+	// Per-iteration scratch, reused across iterations: the flat sampling
+	// plan (its items are the sample in submission order) and the alive
+	// counts.
+	var plan roundPlan[int]
+	var payload []int64
+	counts := make([]int64, M)
 	for iter := 0; aliveCount > 0; iter++ {
 		if iter >= p.maxIter() {
 			return nil, fmt.Errorf("core: RLRSetCover exceeded %d iterations", p.maxIter())
@@ -127,19 +133,18 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		prob := math.Min(1, 2*float64(etaWords)/float64(aliveCount))
 		// Draw the sample machine by machine before the round; the closures
 		// replay each machine's plan concurrently.
-		var sampled []int
-		plan := make([][]int, M)
+		plan.reset()
 		for machine := 1; machine < M; machine++ {
 			for _, j := range ownedElems[machine] {
 				if alive[j] && r.Bernoulli(prob) {
-					plan[machine] = append(plan[machine], j)
-					sampled = append(sampled, j)
+					plan.add(j)
 				}
 			}
+			plan.next()
 		}
-		armPlanned(cluster, plan)
+		plan.arm(cluster)
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, j := range plan[machine] {
+			for _, j := range plan.of(machine) {
 				out.Begin(0)
 				out.Int(int64(j))
 				for _, i := range dual[j] {
@@ -152,13 +157,15 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 			return nil, err
 		}
 		// Line 6: |U'| > 6η is a failure.
+		sampled := plan.items
 		if prob < 1 && len(sampled) > 6*etaWords {
 			return nil, fmt.Errorf("core: RLRSetCover sampling overflow (%d > 6η=%d)", len(sampled), 6*etaWords)
 		}
 
 		// Central machine (Lines 7-8): run local ratio on the sample in
-		// ascending element order; record newly zeroed sets.
-		sort.Ints(sampled)
+		// ascending element order; record newly zeroed sets. The round has
+		// shipped the plan, so the sample is sorted in place.
+		slices.Sort(sampled)
 		coverBefore := len(lr.Cover())
 		for _, j := range sampled {
 			if !lr.Covered(j) {
@@ -211,9 +218,9 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 			// General f: broadcast the new cover sets down the degree-n^µ
 			// tree (§2.2); every machine then kills its covered elements
 			// locally using its T_j lists.
-			payload := make([]int64, len(newSets))
-			for k, i := range newSets {
-				payload[k] = int64(i)
+			payload = payload[:0]
+			for _, i := range newSets {
+				payload = append(payload, int64(i))
 			}
 			if err := tree.Broadcast(cluster, payload, nil); err != nil {
 				return nil, err
@@ -227,7 +234,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		// In vertex-cover mode the forwarding already killed exactly the
 		// elements of the new sets; elements covered earlier stay dead, and
 		// lr.Covered is the ground truth either way.
-		counts := make([]int64, M)
+		clear(counts)
 		for j := 0; j < m; j++ {
 			if alive[j] && lr.Covered(j) {
 				alive[j] = false
@@ -249,7 +256,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 			aliveCount = total
 		} else {
 			total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-				return []int64{counts[machine]}
+				return counts[machine : machine+1]
 			})
 			if err != nil {
 				return nil, err

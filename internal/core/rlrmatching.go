@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -102,6 +102,15 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			aliveCount++
 		}
 	}
+	// Per-iteration scratch, reused across iterations: the flat sampling
+	// plan of (edge id, side mask) pairs, the sampled edges bucketed by
+	// vertex, the vertices whose potential changed, and the alive counts.
+	var plan roundPlan[int64]
+	var perVertex buckets
+	changed := newStamps(n)
+	var changedList []int
+	var pushed []int64
+	counts := make([]int64, M)
 
 	for iter := 0; aliveCount > 0; iter++ {
 		if iter >= p.maxIter() {
@@ -121,8 +130,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		// Draw the two per-edge side samples machine by machine before the
 		// round; the closures replay each machine's plan concurrently.
 		sampledSides := int64(0)
-		var sampleIDs []int64
-		plan := make([][]int64, M)
+		plan.reset()
 		for machine := 1; machine < M; machine++ {
 			for _, id := range ownedEdges[machine] {
 				if !alive[id] {
@@ -136,21 +144,23 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 					mask |= 2
 				}
 				if mask != 0 {
-					plan[machine] = append(plan[machine], int64(id), mask)
+					plan.add(int64(id))
+					plan.add(mask)
 					if mask&1 != 0 {
 						sampledSides++
 					}
 					if mask&2 != 0 {
 						sampledSides++
 					}
-					sampleIDs = append(sampleIDs, int64(id), mask)
 				}
 			}
+			plan.next()
 		}
-		armPlanned(cluster, plan)
+		plan.arm(cluster)
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for i := 0; i+1 < len(plan[machine]); i += 2 {
-				out.SendInts(0, plan[machine][i], plan[machine][i+1])
+			pairs := plan.of(machine)
+			for i := 0; i+1 < len(pairs); i += 2 {
+				out.SendInts(0, pairs[i], pairs[i+1])
 			}
 		})
 		if err != nil {
@@ -163,29 +173,37 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			return nil, fmt.Errorf("core: RLRMatching sampling overflow (%d > 8η=%d)", sampledSides, 8*etaWords)
 		}
 
-		// Central machine: group sampled edges per vertex and push the
-		// heaviest alive edge of each E'_v (Lines 12-14).
-		perVertex := make(map[int][]int) // vertex -> sampled edge ids
+		// Central machine: group sampled edges per vertex (in submission
+		// order) and push the heaviest alive edge of each E'_v in
+		// ascending vertex order (Lines 12-14).
+		sampleIDs := plan.items
+		perVertex.reset(n)
+		for i := 0; i+1 < len(sampleIDs); i += 2 {
+			e, mask := g.Edges[sampleIDs[i]], sampleIDs[i+1]
+			if mask&1 != 0 {
+				perVertex.count(e.U)
+			}
+			if mask&2 != 0 {
+				perVertex.count(e.V)
+			}
+		}
+		perVertex.fill()
 		for i := 0; i+1 < len(sampleIDs); i += 2 {
 			id, mask := int(sampleIDs[i]), sampleIDs[i+1]
 			e := g.Edges[id]
 			if mask&1 != 0 {
-				perVertex[e.U] = append(perVertex[e.U], id)
+				perVertex.put(e.U, id)
 			}
 			if mask&2 != 0 {
-				perVertex[e.V] = append(perVertex[e.V], id)
+				perVertex.put(e.V, id)
 			}
 		}
-		vertices := make([]int, 0, len(perVertex))
-		for v := range perVertex {
-			vertices = append(vertices, v)
-		}
-		sort.Ints(vertices)
-		changed := make(map[int]bool)
-		var pushed []int64
-		for _, v := range vertices {
+		changed.next()
+		changedList = changedList[:0]
+		pushed = pushed[:0]
+		for v := 0; v < n; v++ {
 			best, bestW := -1, 0.0
-			for _, id := range perVertex[v] {
+			for _, id := range perVertex.of(v) {
 				if !lr.Alive(id) {
 					continue
 				}
@@ -198,8 +216,12 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			}
 			if _, ok := lr.Push(best); ok {
 				e := g.Edges[best]
-				changed[e.U] = true
-				changed[e.V] = true
+				for _, u := range [2]int{e.U, e.V} {
+					if !changed.has(u) {
+						changed.add(u)
+						changedList = append(changedList, u)
+					}
+				}
 				pushed = append(pushed, int64(best))
 			}
 		}
@@ -207,11 +229,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Update round A: central sends the changed ϕ values to the vertex
 		// owners and the stacked edge ids to the edge owners (§5.3).
-		changedList := make([]int, 0, len(changed))
-		for v := range changed {
-			changedList = append(changedList, v)
-		}
-		sort.Ints(changedList)
+		slices.Sort(changedList)
 		cluster.Arm(0) // rounds B and the delivery round run off their inboxes
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if machine != 0 {
@@ -279,7 +297,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		// unchanged ⇒ weight unchanged, so this only affects edges with a
 		// changed endpoint — exactly the ones messaged above).
 		// Recompute the alive count with an aggregation over the tree.
-		counts := make([]int64, M)
+		clear(counts)
 		for id := 0; id < m; id++ {
 			if alive[id] && !lr.Alive(id) {
 				alive[id] = false
@@ -289,7 +307,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			}
 		}
 		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
+			return counts[machine : machine+1]
 		})
 		if err != nil {
 			return nil, err

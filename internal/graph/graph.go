@@ -337,13 +337,14 @@ func (g *Graph) Degrees() []int {
 
 // MaxDegree returns the maximum degree (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, d := range g.Degrees() {
-		if d > max {
+	g.Build()
+	max := int32(0)
+	for v := 0; v < g.N; v++ {
+		if d := g.adjStart[v+1] - g.adjStart[v]; d > max {
 			max = d
 		}
 	}
-	return max
+	return int(max)
 }
 
 // TotalWeight returns the sum of all edge weights.

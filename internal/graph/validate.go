@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // This file contains solution validators: pure functions that check whether a
 // proposed solution is feasible for its problem. Every MapReduce algorithm in
 // internal/core is tested against these, so they are written for clarity and
@@ -142,44 +144,66 @@ func IsMaximalIndependentSet(g *Graph, set map[int]bool) bool {
 }
 
 // IsClique reports whether every pair of vertices in set is joined in g.
+// Sets of fewer than two entries are cliques whatever they hold; a larger
+// set must list distinct vertices of g, each adjacent to all the others.
+// The test counts, over each member's CSR neighbour slice, the distinct
+// other members it reaches.
 func IsClique(g *Graph, set []int) bool {
-	have := g.HasEdgeSet()
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			if set[i] == set[j] {
-				return false
+	if len(set) < 2 {
+		return true
+	}
+	pos := make([]int32, g.N) // 1 + index of v in set; 0 if v is not a member
+	for i, v := range set {
+		if v < 0 || v >= g.N || pos[v] != 0 {
+			return false
+		}
+		pos[v] = int32(i + 1)
+	}
+	// seenBy[j] == i+1 once member j has been counted for member i, so a
+	// parallel edge is counted once.
+	seenBy := make([]int32, len(set))
+	for i, v := range set {
+		reached := 0
+		for _, u := range g.Neighbors(v) {
+			if j := pos[u]; j != 0 && int(u) != v && seenBy[j-1] != int32(i+1) {
+				seenBy[j-1] = int32(i + 1)
+				reached++
 			}
-			if !have[normPair(set[i], set[j])] {
-				return false
-			}
+		}
+		if reached != len(set)-1 {
+			return false
 		}
 	}
 	return true
 }
 
 // IsMaximalClique reports whether set is a clique and no vertex outside set
-// is adjacent to all of set.
+// is adjacent to all of set. It counts, for every vertex, how many members
+// it is adjacent to; a non-member adjacent to all of them extends set.
 func IsMaximalClique(g *Graph, set []int) bool {
 	if !IsClique(g, set) {
 		return false
 	}
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		in[v] = true
+	if len(set) == 1 && (set[0] < 0 || set[0] >= g.N) {
+		return true // no vertex of g is adjacent to a non-vertex
 	}
-	have := g.HasEdgeSet()
-	for v := 0; v < g.N; v++ {
-		if in[v] {
-			continue
-		}
-		adjacentToAll := true
-		for _, u := range set {
-			if !have[normPair(u, v)] {
-				adjacentToAll = false
-				break
+	// common[v] is the number of members adjacent to v, or -1 for a
+	// member; lastBy[v] == i+1 once v has been counted for member i.
+	common := make([]int32, g.N)
+	lastBy := make([]int32, g.N)
+	for _, v := range set {
+		common[v] = -1
+	}
+	for i, v := range set {
+		for _, u := range g.Neighbors(v) {
+			if common[u] >= 0 && lastBy[u] != int32(i+1) {
+				lastBy[u] = int32(i + 1)
+				common[u]++
 			}
 		}
-		if adjacentToAll {
+	}
+	for _, c := range common {
+		if int(c) == len(set) {
 			return false
 		}
 	}
@@ -201,30 +225,60 @@ func IsProperVertexColouring(g *Graph, colour []int) bool {
 }
 
 // IsProperEdgeColouring reports whether colour assigns every edge a colour
-// and no two edges sharing a vertex have the same colour.
+// and no two edges sharing a vertex have the same colour. Colours may be
+// any ints. Each vertex's incident colours are gathered from its CSR
+// slice into one reused buffer, sorted and checked for repeats.
 func IsProperEdgeColouring(g *Graph, colour []int) bool {
 	if len(colour) != len(g.Edges) {
 		return false
 	}
-	seen := make(map[[2]int]bool) // (vertex, colour)
-	for id, e := range g.Edges {
-		c := colour[id]
-		ku := [2]int{e.U, c}
-		kv := [2]int{e.V, c}
-		if seen[ku] || seen[kv] {
-			return false
+	var at []int
+	for v := 0; v < g.N; v++ {
+		at = at[:0]
+		ids := g.IncidentEdges(v)
+		for k, id := range ids {
+			// A self-loop fills two adjacent slots of one slice; it is one
+			// edge with one colour.
+			if k > 0 && ids[k-1] == id {
+				continue
+			}
+			at = append(at, colour[id])
 		}
-		seen[ku] = true
-		seen[kv] = true
+		slices.Sort(at)
+		for k := 1; k < len(at); k++ {
+			if at[k] == at[k-1] {
+				return false
+			}
+		}
 	}
 	return true
 }
 
-// NumColours returns the number of distinct colours used.
+// NumColours returns the number of distinct colours used. A palette
+// spanning less than four times the number of entries is counted on a
+// bitmap; a sparse one on a sorted copy.
 func NumColours(colour []int) int {
-	set := make(map[int]bool, len(colour))
-	for _, c := range colour {
-		set[c] = true
+	if len(colour) == 0 {
+		return 0
 	}
-	return len(set)
+	lo, hi := slices.Min(colour), slices.Max(colour)
+	distinct := 0
+	if span := uint64(hi) - uint64(lo); span < 4*uint64(len(colour)) {
+		used := make([]bool, span+1)
+		for _, c := range colour {
+			if k := uint64(c) - uint64(lo); !used[k] {
+				used[k] = true
+				distinct++
+			}
+		}
+		return distinct
+	}
+	sorted := slices.Clone(colour)
+	slices.Sort(sorted)
+	for k := range sorted {
+		if k == 0 || sorted[k] != sorted[k-1] {
+			distinct++
+		}
+	}
+	return distinct
 }

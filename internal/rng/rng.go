@@ -12,7 +12,10 @@
 // reproducible from its seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a deterministic pseudo-random number generator. The zero value is a
 // valid generator seeded with 0; prefer New to make seeding explicit.
@@ -158,18 +161,42 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	// Floyd's algorithm: O(k) expected time, O(k) space.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
+	return r.SampleInto(make([]int, 0, k), n, k)
+}
+
+// sampleScanMax is the largest k for which SampleInto detects repeats by
+// scanning the indices drawn so far instead of hashing them.
+const sampleScanMax = 64
+
+// SampleInto appends k distinct uniform indices from [0, n) to dst and
+// returns the extended slice. It draws exactly what
+// SampleWithoutReplacement draws, in the same order, but for small k it
+// allocates nothing beyond dst's growth. It panics if k > n or k < 0.
+func (r *RNG) SampleInto(dst []int, n, k int) []int {
+	if k < 0 || k > n {
+		panic("rng: SampleWithoutReplacement requires 0 <= k <= n")
+	}
+	// Floyd's algorithm: O(k) expected time, O(k) space. A draw t < j
+	// that repeats an earlier pick is replaced by j, which no earlier step
+	// can have picked.
+	base := len(dst)
+	var chosen map[int]struct{}
+	if k > sampleScanMax {
+		chosen = make(map[int]struct{}, k)
+	}
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
+		if chosen != nil {
+			if _, dup := chosen[t]; dup {
+				t = j
+			}
+			chosen[t] = struct{}{}
+		} else if slices.Contains(dst[base:], t) {
 			t = j
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+		dst = append(dst, t)
 	}
-	return out
+	return dst
 }
 
 // Binomial returns a sample from Binomial(n, p). For small n it sums

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -331,6 +332,40 @@ func TestDrawsSince(t *testing.T) {
 		}
 		if got := r.DrawsSince(start); got != draws {
 			t.Fatalf("DrawsSince = %d, want %d (step %d)", got, draws, i)
+		}
+	}
+}
+
+// TestSampleIntoMatchesFloydWithMap pins SampleInto (and so
+// SampleWithoutReplacement) to Floyd's algorithm with a hashed repeat
+// check, on both sides of the scan threshold: same draws, same order,
+// appended after dst's existing entries without consulting them.
+func TestSampleIntoMatchesFloydWithMap(t *testing.T) {
+	floyd := func(r *RNG, n, k int) []int {
+		chosen := make(map[int]struct{}, k)
+		var out []int
+		for j := n - k; j < n; j++ {
+			t := r.Intn(j + 1)
+			if _, dup := chosen[t]; dup {
+				t = j
+			}
+			chosen[t] = struct{}{}
+			out = append(out, t)
+		}
+		return out
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, nk := range [][2]int{{1, 1}, {10, 3}, {70, 64}, {70, 65}, {200, 64}, {200, 65}, {1000, 300}} {
+			n, k := nk[0], nk[1]
+			want := floyd(New(seed), n, k)
+			prefix := []int{0, 1, 2}
+			got := New(seed).SampleInto(append([]int(nil), prefix...), n, k)
+			if !slices.Equal(got[:3], prefix) || !slices.Equal(got[3:], want) {
+				t.Fatalf("seed %d n=%d k=%d: SampleInto = %v, want %v after %v", seed, n, k, got[3:], want, prefix)
+			}
+			if s := New(seed).SampleWithoutReplacement(n, k); !slices.Equal(s, want) {
+				t.Fatalf("seed %d n=%d k=%d: SampleWithoutReplacement = %v, want %v", seed, n, k, s, want)
+			}
 		}
 	}
 }

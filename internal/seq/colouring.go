@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -117,12 +118,30 @@ func MisraGries(g *graph.Graph) []int {
 		}
 	}
 
+	// Scratch reused by every step of the main loop, so colouring an edge
+	// allocates nothing: the fan, its membership stamps (fanAt[w] == epoch
+	// marks w as in the current fan), the inverted path with its swapped
+	// colours, and the rotated fan prefix with its shifted colours.
+	// A fan has at most deg(u)+1 < maxC+1 vertices, which bounds the
+	// rotation buffers too; only the path buffers grow.
+	var (
+		fan, rotIDs, newCol = make([]int, 0, maxC+1), make([]int, 0, maxC+1), make([]int, 0, maxC+1)
+		path, swapped       []int
+		fanAt               = make([]int32, g.N)
+		epoch               int32
+	)
+
 	// makeFan builds a maximal fan of u starting at v: a sequence of distinct
 	// neighbours F[0]=v, F[1], ... such that edge (u,F[i+1]) is coloured with
-	// a colour free on F[i].
+	// a colour free on F[i]. The fan is valid until the next call.
 	makeFan := func(u, v int) []int {
-		fan := []int{v}
-		inFan := map[int]bool{v: true}
+		if epoch == math.MaxInt32 {
+			clear(fanAt)
+			epoch = 0
+		}
+		epoch++
+		fan = append(fan[:0], v)
+		fanAt[v] = epoch
 		ids := g.IncidentEdges(u)
 		nbrs := g.Neighbors(u)
 		for {
@@ -130,12 +149,12 @@ func MisraGries(g *graph.Graph) []int {
 			extended := false
 			for i, id := range ids {
 				w := int(nbrs[i])
-				if inFan[w] || colour[id] == 0 {
+				if fanAt[w] == epoch || colour[id] == 0 {
 					continue
 				}
 				if isFree(last, colour[id]) {
 					fan = append(fan, w)
-					inFan[w] = true
+					fanAt[w] = epoch
 					extended = true
 					break
 				}
@@ -149,7 +168,7 @@ func MisraGries(g *graph.Graph) []int {
 	// invertPath walks the cd-path from u (u has d used, c free) and swaps
 	// the two colours along it.
 	invertPath := func(u, c, d int) {
-		var path []int
+		path = path[:0]
 		cur, col := u, d
 		for {
 			id, ok := edgeAt(cur, col)
@@ -167,12 +186,12 @@ func MisraGries(g *graph.Graph) []int {
 		// Two phases: uncolour the whole path first, then apply the swapped
 		// colours. Doing it in one pass would transiently register two edges
 		// under the same (vertex, colour) key and corrupt the index.
-		swapped := make([]int, len(path))
-		for i, id := range path {
+		swapped = swapped[:0]
+		for _, id := range path {
 			if colour[id] == c {
-				swapped[i] = d
+				swapped = append(swapped, d)
 			} else {
-				swapped[i] = c
+				swapped = append(swapped, c)
 			}
 			setColour(id, 0)
 		}
@@ -198,19 +217,19 @@ func MisraGries(g *graph.Graph) []int {
 		// Collect the shift first, uncolour, then assign: assigning in place
 		// would transiently give two edges at u the same colour and corrupt
 		// the (vertex, colour) index.
-		ids := make([]int, w+1)
+		rotIDs = rotIDs[:0]
 		for i := 0; i <= w; i++ {
-			ids[i] = edgeTo(fan[i])
+			rotIDs = append(rotIDs, edgeTo(fan[i]))
 		}
-		newCol := make([]int, w+1)
+		newCol = newCol[:0]
 		for i := 0; i < w; i++ {
-			newCol[i] = colour[ids[i+1]]
+			newCol = append(newCol, colour[rotIDs[i+1]])
 		}
-		newCol[w] = d
-		for _, id := range ids {
+		newCol = append(newCol, d)
+		for _, id := range rotIDs {
 			setColour(id, 0)
 		}
-		for i, id := range ids {
+		for i, id := range rotIDs {
 			if newCol[i] != 0 {
 				setColour(id, newCol[i])
 			}
