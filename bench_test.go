@@ -755,23 +755,23 @@ func benchSparseTail(b *testing.B, sparse bool) {
 func BenchmarkSparseTailDense(b *testing.B)  { benchSparseTail(b, false) }
 func BenchmarkSparseTailSparse(b *testing.B) { benchSparseTail(b, true) }
 
-// --- Executor round-overhead pairs ---
+// --- Executor round overhead ---
 //
-// The before/after evidence for the persistent pool: the same chunked batch
-// of trivial tasks per round through the spawn-per-Execute Parallel executor
-// versus a long-lived Pool. Run with -benchmem: the Spawn variant pays one
-// goroutine spawn per worker per round (visible as allocations and context
-// switches), while the Persistent variant spawns zero goroutines per round
-// in steady state (mpc.TestPoolSteadyStateSpawnsNoGoroutines pins this) and
-// allocates only its per-batch job header.
+// The per-round cost of the persistent pool: a chunked batch of 256 trivial
+// tasks per round through a long-lived 4-worker Pool. It spawns zero
+// goroutines per round in steady state
+// (mpc.TestPoolSteadyStateSpawnsNoGoroutines pins this) and allocates only
+// its per-batch job header.
 
-func benchExecutorRoundOverhead(b *testing.B, exec mpc.Executor) {
+func BenchmarkExecutorRoundOverheadPersistent(b *testing.B) {
 	const tasks = 256
+	p := mpc.NewPool(4)
+	defer p.Close()
 	sink := make([]int64, tasks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exec.Execute(tasks, func(t int) { sink[t]++ })
+		p.Execute(tasks, func(t int) { sink[t]++ })
 	}
 	b.StopTimer()
 	for t := range sink {
@@ -779,16 +779,6 @@ func benchExecutorRoundOverhead(b *testing.B, exec mpc.Executor) {
 			b.Fatalf("task %d ran %d times, want %d", t, sink[t], b.N)
 		}
 	}
-}
-
-func BenchmarkExecutorRoundOverheadSpawn(b *testing.B) {
-	benchExecutorRoundOverhead(b, mpc.Parallel{Workers: 4})
-}
-
-func BenchmarkExecutorRoundOverheadPersistent(b *testing.B) {
-	p := mpc.NewPool(4)
-	defer p.Close()
-	benchExecutorRoundOverhead(b, p)
 }
 
 // --- Sequential baselines, for the wall-clock comparison columns ---
@@ -1011,7 +1001,7 @@ func benchShardedRound(b *testing.B, shards int, transport mpc.TransportFactory)
 func BenchmarkShardedRoundOff(b *testing.B) { benchShardedRound(b, 0, nil) }
 func BenchmarkShardedRoundMem(b *testing.B) { benchShardedRound(b, 2, nil) }
 func BenchmarkShardedRoundTCP(b *testing.B) {
-	benchShardedRound(b, 2, mpc.TCPLoopback(mpc.TCPOptions{}))
+	benchShardedRound(b, 2, mpc.TCPLoopback(mpc.TransportOpts{}))
 }
 
 // --- Round-trace triple ---
@@ -1050,37 +1040,3 @@ func benchRoundTrace(b *testing.B, sink obs.TraceSink) {
 func BenchmarkRoundTraceOff(b *testing.B)  { benchRoundTrace(b, nil) }
 func BenchmarkRoundTraceRing(b *testing.B) { benchRoundTrace(b, obs.NewRingSink(256)) }
 func BenchmarkRoundTraceFile(b *testing.B) { benchRoundTrace(b, obs.NewChromeTrace(io.Discard)) }
-
-// --- Merge-phase pairs ---
-//
-// The post-barrier inbox assembly (ordering every destination's received
-// segments by ascending sender) is embarrassingly parallel across
-// destinations and runs on the round executor when there are enough
-// destinations to pay for the fan-out (mergeParDests). The pair measures
-// the same 256-machine all-scatter round with sequential assembly versus
-// four pooled workers; results are bit-identical (executor independence).
-
-func benchMergePhase(b *testing.B, workers int) {
-	const machines = 256
-	c := mpc.NewCluster(mpc.Config{Machines: machines, Workers: workers})
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := c.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, ok := in.Next(); ok; _, ok = in.Next() {
-			}
-			// Four spread destinations per machine: every machine receives,
-			// so the assembly fan-out covers the whole cluster.
-			for j := 1; j <= 4; j++ {
-				out.SendInts((machine+j*machines/5)%machines, int64(machine))
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMergePhaseSeq(b *testing.B) { benchMergePhase(b, 1) }
-func BenchmarkMergePhasePar(b *testing.B) { benchMergePhase(b, 4) }

@@ -143,19 +143,12 @@ func main() {
 		}
 	}
 
-	var factory mpc.TransportFactory
-	switch *transport {
-	case "", "mem":
-		// nil selects the in-memory group.
-	case "tcp":
-		factory = mpc.TCPLoopback(mpc.TransportOpts{
-			BarrierTimeout: *barrierTimeout,
-			DialTimeout:    *dialTimeout,
-			DialRetries:    *dialRetries,
-		})
-	default:
-		exitOn(fmt.Errorf("-transport must be mem or tcp, got %q", *transport))
-	}
+	factory, err := mpc.TransportByName(*transport, mpc.TransportOpts{
+		BarrierTimeout: *barrierTimeout,
+		DialTimeout:    *dialTimeout,
+		DialRetries:    *dialRetries,
+	})
+	exitOn(err)
 
 	p := core.Params{Mu: *mu, Seed: *seed, Workers: *workers, Shards: *shards, Transport: factory}
 	var sink *obs.ChromeTraceSink

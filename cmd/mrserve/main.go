@@ -96,8 +96,8 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "mrserve: ", log.LstdFlags)
-	if *transport != "" && *transport != "mem" && *transport != "tcp" {
-		logger.Fatalf("-transport must be mem or tcp, got %q", *transport)
+	if _, err := mpc.TransportByName(*transport, mpc.TransportOpts{}); err != nil {
+		logger.Fatal(err)
 	}
 	slogger, err := buildLogger(*logLevel)
 	if err != nil {

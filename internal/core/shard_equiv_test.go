@@ -50,8 +50,8 @@ func TestShardedEquivalence(t *testing.T) {
 	}{
 		{"mem-k2", 2, nil},
 		{"mem-k4", 4, nil},
-		{"tcp-k2", 2, mpc.TCPLoopback(mpc.TCPOptions{})},
-		{"tcp-k4", 4, mpc.TCPLoopback(mpc.TCPOptions{})},
+		{"tcp-k2", 2, mpc.TCPLoopback(mpc.TransportOpts{})},
+		{"tcp-k4", 4, mpc.TCPLoopback(mpc.TransportOpts{})},
 	}
 
 	ran := 0

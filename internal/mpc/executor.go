@@ -1,6 +1,6 @@
 package mpc
 
-// This file implements the pluggable round executor. A Cluster delegates the
+// This file implements the round executor. A Cluster delegates the
 // "run every machine's local computation" step of a round to an Executor;
 // everything observable — message delivery order, space and word accounting,
 // metrics, traces — is computed after the executor's barrier, in machine
@@ -14,12 +14,10 @@ package mpc
 // central state touched only by the central machine's invocation. `go test
 // -race ./...` is the enforcement mechanism.
 //
-// Two parallel executors exist. Parallel spawns its workers per Execute call
-// — simple, but for thousands of short rounds the spawn/teardown dominates.
-// Pool keeps long-lived workers blocked on a job channel and hands tasks out
-// in chunks, so a steady-state round costs a handful of channel operations
-// and no goroutine creation; clusters configured with Workers > 1 own a Pool
-// and release it via Cluster.Close.
+// Workers > 1 selects Pool, which keeps long-lived workers blocked on a job
+// channel and hands tasks out in chunks, so a steady-state round costs a
+// handful of channel operations and no goroutine creation; the cluster owns
+// its Pool and releases it via Cluster.Close.
 
 import (
 	"fmt"
@@ -51,66 +49,6 @@ type Sequential struct{}
 func (Sequential) Execute(machines int, run func(machine int)) {
 	for machine := 0; machine < machines; machine++ {
 		run(machine)
-	}
-}
-
-// Parallel runs machines concurrently on a pool of Workers goroutines
-// spawned per Execute call. Machines are handed out by an atomic counter, so
-// low-id machines start first but completion order is scheduler-dependent;
-// the Cluster merges results deterministically after the barrier. A panic in
-// any machine's computation is re-raised on the calling goroutine after the
-// pool drains. Prefer Pool for repeated Execute calls: Parallel pays a
-// goroutine spawn per worker per call.
-type Parallel struct {
-	// Workers is the pool size; <= 0 means runtime.NumCPU().
-	Workers int
-}
-
-// Execute implements Executor.
-func (p Parallel) Execute(machines int, run func(machine int)) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > machines {
-		workers = machines
-	}
-	if workers <= 1 {
-		Sequential{}.Execute(machines, run)
-		return
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Value
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			machine := -1
-			defer func() {
-				if r := recover(); r != nil {
-					// Preserve the faulty machine, the original panic value,
-					// and the panicking goroutine's stack: the re-raise below
-					// happens on the caller, whose own stack says nothing
-					// about where the computation failed.
-					panicked.CompareAndSwap(nil, fmt.Sprintf(
-						"mpc: machine %d computation panicked: %v\n%s", machine, r, debug.Stack()))
-				}
-			}()
-			for {
-				machine = int(next.Add(1)) - 1
-				if machine >= machines {
-					return
-				}
-				run(machine)
-			}
-		}()
-	}
-	wg.Wait()
-	if msg := panicked.Load(); msg != nil {
-		panic(msg)
 	}
 }
 
@@ -155,20 +93,14 @@ type poolJob struct {
 // Execute must not be called concurrently with itself or from inside a
 // running task (the cluster's driver loop is single-threaded, which
 // satisfies both).
+//
+// The workers hold only the job channel, never the Pool itself, so an
+// unclosed pool's finalizer can fire and release them.
 type Pool struct {
 	workers int
 	work    chan *poolJob
-	stats   *poolStats
 	closed  atomic.Bool
 	once    sync.Once
-	rounds  atomic.Uint64
-}
-
-// poolStats is the part of a pool its workers touch. It is separate from
-// Pool so the workers hold no reference to the Pool itself, which lets an
-// unclosed pool's finalizer fire and release the workers.
-type poolStats struct {
-	chunks atomic.Uint64
 }
 
 // NewPool starts a persistent pool of the given size; workers <= 0 means
@@ -181,20 +113,12 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers, work: make(chan *poolJob, workers), stats: new(poolStats)}
+	p := &Pool{workers: workers, work: make(chan *poolJob, workers)}
 	for w := 0; w < workers; w++ {
-		go poolWorker(p.work, p.stats)
+		go poolWorker(p.work)
 	}
 	runtime.SetFinalizer(p, (*Pool).Close)
 	return p
-}
-
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
-// Stats reports the batches executed and chunks claimed by this pool.
-func (p *Pool) Stats() (rounds, chunks uint64) {
-	return p.rounds.Load(), p.stats.chunks.Load()
 }
 
 // Execute implements Executor.
@@ -205,7 +129,6 @@ func (p *Pool) Execute(n int, run func(i int)) {
 	if p.closed.Load() {
 		panic("mpc: Execute on a closed Pool")
 	}
-	p.rounds.Add(1)
 	poolRoundsTotal.Add(1)
 	// Clamp the engaged workers to the task count so tiny batches (the
 	// sparse tail rounds) wake only as many workers as there are chunks.
@@ -236,11 +159,10 @@ func (p *Pool) Execute(n int, run func(i int)) {
 	}
 }
 
-// poolWorker is the long-lived loop of one pool goroutine. It holds no
-// reference to the Pool (see poolStats).
-func poolWorker(work <-chan *poolJob, stats *poolStats) {
+// poolWorker is the long-lived loop of one pool goroutine.
+func poolWorker(work <-chan *poolJob) {
 	for job := range work {
-		runPoolChunks(job, stats)
+		runPoolChunks(job)
 	}
 }
 
@@ -248,7 +170,7 @@ func poolWorker(work <-chan *poolJob, stats *poolStats) {
 // task panic is recorded on the job and ends this worker's participation
 // (the remaining chunks drain through the other workers), but never kills
 // the worker goroutine — the pool stays reusable.
-func runPoolChunks(job *poolJob, stats *poolStats) {
+func runPoolChunks(job *poolJob) {
 	defer job.wg.Done()
 	task := -1
 	defer func() {
@@ -263,7 +185,6 @@ func runPoolChunks(job *poolJob, stats *poolStats) {
 		if start >= job.n {
 			return
 		}
-		stats.chunks.Add(1)
 		poolChunksTotal.Add(1)
 		end := start + job.chunk
 		if end > job.n {
@@ -283,15 +204,11 @@ func (p *Pool) Close() {
 	})
 }
 
-// newExecutor resolves a Config to an executor: an explicit Executor wins,
-// otherwise Workers selects Sequential (0 or 1) or a cluster-owned
-// persistent Pool of that size (> 1; < 0 sizes it to runtime.NumCPU()). The
-// returned Pool is non-nil exactly when the cluster owns one and must
-// release it on Close.
+// newExecutor resolves a Config to an executor: Workers selects Sequential
+// (0 or 1) or a cluster-owned persistent Pool of that size (> 1; < 0 sizes
+// it to runtime.NumCPU()). The returned Pool is non-nil exactly when the
+// cluster needs to release it on Close.
 func newExecutor(cfg Config) (Executor, *Pool) {
-	if cfg.Executor != nil {
-		return cfg.Executor, nil
-	}
 	switch {
 	case cfg.Workers == 0 || cfg.Workers == 1:
 		return Sequential{}, nil

@@ -86,8 +86,6 @@ type Config struct {
 	// across executors for conforming RoundFuncs (see Executor). Pools are
 	// owned by the cluster; call Close when done with it.
 	Workers int
-	// Executor, when non-nil, overrides Workers with an explicit executor.
-	Executor Executor
 	// Sparse enables sparse round scheduling: a machine runs in a round
 	// only if its inbox is non-empty or it was armed via Arm/ArmAll, and
 	// per-round bookkeeping touches only active machines. Model metrics
@@ -546,17 +544,8 @@ func (c *Cluster) Round(f RoundFunc) error {
 		c.inbox[m].clear()
 	}
 	c.recv = c.recv[:0]
-	// Each destination's inbox is assembled independently in fixed sender
-	// order, so with many receivers the assembly itself fans out across the
-	// round executor — deterministic either way.
-	if len(c.recvNxt) >= mergeParDests && c.parallelExec() {
-		c.exec.Execute(len(c.recvNxt), func(i int) {
-			c.assembleInbox(c.recvNxt[i])
-		})
-	} else {
-		for _, dest := range c.recvNxt {
-			c.assembleInbox(dest)
-		}
+	for _, dest := range c.recvNxt {
+		c.assembleInbox(dest)
 	}
 	c.recv, c.recvNxt = c.recvNxt, c.recv
 
@@ -637,24 +626,9 @@ func (c *Cluster) Round(f RoundFunc) error {
 	return nil
 }
 
-// mergeParDests is the receiver count above which the post-barrier inbox
-// assembly fans out across the round executor. Assembling one inbox is a
-// handful of slice appends, so parallelism pays only when a round delivers
-// to many machines.
-const mergeParDests = 64
-
-// parallelExec reports whether the cluster's executor actually runs tasks
-// concurrently (anything but the sequential executor).
-func (c *Cluster) parallelExec() bool {
-	_, seq := c.exec.(Sequential)
-	return !seq
-}
-
 // assembleInbox builds one destination's inbox for the next round: the wire
 // columns from shards below the destination's, the local senders' columns,
 // then the wire columns from shards above — ascending sender order overall.
-// Safe to run concurrently for distinct destinations: every slice touched
-// is indexed by dest.
 func (c *Cluster) assembleInbox(dest int) {
 	in := &c.inbox[dest]
 	if c.shard != nil {

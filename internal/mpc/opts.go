@@ -66,10 +66,6 @@ type TransportOpts struct {
 	WireLogDir string
 }
 
-// TCPOptions is the original name of TransportOpts, kept as an alias for
-// the -shards call sites that predate the recovery options.
-type TCPOptions = TransportOpts
-
 func (o TransportOpts) barrierTimeout() time.Duration {
 	if o.BarrierTimeout > 0 {
 		return o.BarrierTimeout

@@ -130,7 +130,7 @@ func newShardEngine(c *Cluster, cfg Config) (*shardEngine, error) {
 	}
 	factory := cfg.Transport
 	if factory == nil {
-		factory = MemTransport
+		factory = NewMemGroup
 	}
 	eps, err := factory(k)
 	if err != nil {

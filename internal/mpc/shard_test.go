@@ -86,8 +86,8 @@ func TestShardedEquivalence(t *testing.T) {
 				{"mem-k2", Config{Shards: 2}},
 				{"mem-k3", Config{Shards: 3}},
 				{"mem-k4-pooled", Config{Shards: 4, Workers: 4}},
-				{"tcp-k2", Config{Shards: 2, Transport: TCPLoopback(TCPOptions{})}},
-				{"tcp-k4-pooled", Config{Shards: 4, Workers: 4, Transport: TCPLoopback(TCPOptions{})}},
+				{"tcp-k2", Config{Shards: 2, Transport: TCPLoopback(TransportOpts{})}},
+				{"tcp-k4-pooled", Config{Shards: 4, Workers: 4, Transport: TCPLoopback(TransportOpts{})}},
 			}
 			for _, v := range variants {
 				cfg := base
@@ -139,7 +139,7 @@ func TestReplicatedShardingLockstep(t *testing.T) {
 			nodes := make([]*TCPNode, K)
 			addrs := make([]string, K)
 			for i := range nodes {
-				nd, err := ListenTCP(i, K, "127.0.0.1:0", TCPOptions{})
+				nd, err := ListenTCP(i, K, "127.0.0.1:0", TransportOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}

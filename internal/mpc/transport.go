@@ -80,6 +80,20 @@ type Transport interface {
 // them in Close.
 type TransportFactory func(shards int) ([]Transport, error)
 
+// TransportByName resolves a transport name as the commands and the job
+// service spell it: "" and "mem" give the in-memory group (NewMemGroup),
+// "tcp" gives an in-process loopback TCP mesh tuned by opts (TCPLoopback).
+// Any other name is an error.
+func TransportByName(name string, opts TransportOpts) (TransportFactory, error) {
+	switch name {
+	case "", "mem":
+		return NewMemGroup, nil
+	case "tcp":
+		return TCPLoopback(opts), nil
+	}
+	return nil, fmt.Errorf("mpc: unknown transport %q (want mem or tcp)", name)
+}
+
 // Batch is the set of columns one source shard ships to one destination
 // shard for one round, in ascending (sender, destination) machine order.
 type Batch struct {
@@ -208,10 +222,6 @@ func NewMemGroup(shards int) ([]Transport, error) {
 	}
 	return eps, nil
 }
-
-// MemTransport is the TransportFactory for in-process sharding over
-// NewMemGroup. It is the default when Config.Transport is nil.
-func MemTransport(shards int) ([]Transport, error) { return NewMemGroup(shards) }
 
 func (e *memEndpoint) Shard() int    { return e.shard }
 func (e *memEndpoint) Shards() int   { return e.hub.shards }

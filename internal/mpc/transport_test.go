@@ -240,12 +240,51 @@ func TestTransportFactoryErrorSurfaces(t *testing.T) {
 	}
 }
 
+func TestTransportByName(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		retains bool // in-memory endpoints retain columns, TCP ones do not
+		wantErr bool
+	}{
+		{name: "", retains: true},
+		{name: "mem", retains: true},
+		{name: "tcp", retains: false},
+		{name: "udp", wantErr: true},
+		{name: "MEM", wantErr: true},
+		{name: " tcp", wantErr: true},
+	} {
+		f, err := TransportByName(tc.name, TransportOpts{BarrierTimeout: 5 * time.Second})
+		if tc.wantErr {
+			if err == nil || f != nil {
+				t.Fatalf("%q: got factory %v, err %v; want an error", tc.name, f != nil, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", tc.name, err)
+		}
+		eps, err := f(2)
+		if err != nil {
+			t.Fatalf("%q: factory: %v", tc.name, err)
+		}
+		if len(eps) != 2 {
+			t.Fatalf("%q: %d endpoints, want 2", tc.name, len(eps))
+		}
+		for i, ep := range eps {
+			if ep.Shard() != i || ep.Shards() != 2 || ep.Retains() != tc.retains {
+				t.Fatalf("%q: endpoint %d: shard %d of %d, retains %v", tc.name, i, ep.Shard(), ep.Shards(), ep.Retains())
+			}
+			ep.Close()
+		}
+	}
+}
+
 // --- real TCP failure paths -------------------------------------------------
 
 // tcpPair builds a connected 2-node mesh with a short barrier timeout.
 func tcpPair(t *testing.T, timeout time.Duration) (*TCPNode, *TCPNode) {
 	t.Helper()
-	opts := TCPOptions{BarrierTimeout: timeout}
+	opts := TransportOpts{BarrierTimeout: timeout}
 	n0, err := ListenTCP(0, 2, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -122,6 +122,12 @@ type Engine struct {
 	jobs    map[string]*Job
 	jobSeq  uint64
 	history []string // job ids in creation order, for bounded retention
+	// ledgerPending counts finished jobs' results not yet appended to the
+	// ledger: raised in the critical section that finishes the jobs,
+	// lowered after the append. ledgerIdle (on mu) signals it reaching
+	// zero, so SyncLedger covers every job whose Wait has returned.
+	ledgerPending int
+	ledgerIdle    *sync.Cond
 
 	queue chan *flight
 	wg    sync.WaitGroup
@@ -142,6 +148,7 @@ func NewEngine(cfg Config) *Engine {
 		jobs:      make(map[string]*Job),
 		queue:     make(chan *flight, cfg.QueueDepth),
 	}
+	e.ledgerIdle = sync.NewCond(&e.mu)
 	// Export the configured shard count as a gauge so operators can tell a
 	// sharded deployment from /metrics alone.
 	m.inc("shards", uint64(cfg.Shards))
@@ -423,9 +430,11 @@ func (e *Engine) execute(f *flight) {
 			lead = j.ID
 		}
 	}
+	// The batcher attaches jobs to f under the mutex; count them here.
+	attached := len(f.jobs)
 	e.mu.Unlock()
 	e.log.Info("flight executing", "job", lead, "alg", f.alg,
-		"instance", f.instID, "jobs", len(f.jobs))
+		"instance", f.instID, "jobs", attached)
 
 	var res *Result
 	in, err := e.instances.get(f.instID, f.spec)
@@ -443,17 +452,27 @@ func (e *Engine) execute(f *flight) {
 
 	e.mu.Lock()
 	fl := e.batch.complete(f.key)
+	ledgered := res != nil && e.ledger != nil
 	if res != nil {
 		e.results.put(f.key, res)
+	}
+	if ledgered {
+		e.ledgerPending++
 	}
 	for _, j := range fl.jobs {
 		e.finishLocked(j, res, err)
 	}
 	e.mu.Unlock()
-	if res != nil {
-		// Ledger the completed job off the engine mutex: Append chains in
-		// memory and returns; the batcher owns the fsync.
+	if ledgered {
+		// Ledger the completed job off the engine mutex, so marshalling
+		// adds nothing to the waiters' latency: Append chains in memory
+		// and returns; the batcher owns the fsync.
 		e.recordLedger(f, res)
+		e.mu.Lock()
+		if e.ledgerPending--; e.ledgerPending == 0 {
+			e.ledgerIdle.Broadcast()
+		}
+		e.mu.Unlock()
 	}
 	if f.cancel != nil {
 		f.cancel()

@@ -90,13 +90,10 @@ func (e *Engine) openLedger() {
 }
 
 // recordLedger appends one completed flight's result to the ledger. Called
-// off the engine mutex; Append never blocks on IO. Marshal failures are
+// off the engine mutex with a non-nil ledger; Append never blocks on IO. Marshal failures are
 // impossible for the Result shape (plain structs and maps), but are still
 // swallowed defensively: the ledger must never fail a job.
 func (e *Engine) recordLedger(f *flight, res *Result) {
-	if e.ledger == nil {
-		return
-	}
 	resultJSON, err := json.Marshal(res)
 	if err != nil {
 		e.log.Error("ledger: result marshal failed", "alg", f.alg, "err", err)
@@ -211,13 +208,19 @@ func (e *Engine) VerifyLedger() (ledger.VerifyReport, bool) {
 	return rep, true
 }
 
-// SyncLedger blocks until every record appended so far is durable (or the
-// ledger degraded). Tests and the crash harness use it to establish the
-// durability point before a kill.
+// SyncLedger blocks until the record of every job whose Wait has returned
+// is appended and durable (or the ledger degraded). Tests and the crash
+// harness use it to establish the durability point before a kill.
 func (e *Engine) SyncLedger() {
-	if e.ledger != nil {
-		e.ledger.Sync()
+	if e.ledger == nil {
+		return
 	}
+	e.mu.Lock()
+	for e.ledgerPending > 0 {
+		e.ledgerIdle.Wait()
+	}
+	e.mu.Unlock()
+	e.ledger.Sync()
 }
 
 // ---- Offline audit (cmd/mrverify) ----------------------------------------

@@ -15,6 +15,17 @@ import (
 	"repro/internal/mpc"
 )
 
+// TestUnknownTransportPanics: a transport name mpc.TransportByName rejects
+// stops NewEngine before any worker starts.
+func TestUnknownTransportPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"udp"`) {
+			t.Fatalf("NewEngine with Transport \"udp\": recovered %v, want a panic naming it", r)
+		}
+	}()
+	NewEngine(Config{Pool: 1, Shards: 2, Transport: "udp"})
+}
+
 // TestFallbackUnsharded: a sharded engine whose transport cannot come up
 // degrades to unsharded in-process execution with a bit-identical result,
 // and counts the fallback.

@@ -73,8 +73,8 @@ type Config struct {
 	// through a loopback TCP mesh (one node per shard inside this
 	// process) — the same frame encoding, checksums and recovery
 	// machinery cmd/mrshard uses across real processes. Results are
-	// bit-identical either way; anything else is treated as "mem"
-	// (cmd/mrserve validates the flag before it gets here).
+	// bit-identical either way. NewEngine panics on any other name
+	// (cmd/mrserve checks the flag with mpc.TransportByName first).
 	Transport string
 	// TransportOpts tunes the sharded transport: dial/barrier deadlines,
 	// retry budget, heartbeat cadence and the recovery wire log. The zero
@@ -126,19 +126,13 @@ type Config struct {
 
 // transport resolves the factory handed to core.Params.Transport for
 // sharded jobs: the test hook if set, else the named transport, with the
-// chaos schedule (if any) wrapped around it.
+// chaos schedule (if any) wrapped around it. It panics on an unknown name.
 func (c Config) transport() mpc.TransportFactory {
 	f := c.transportFactory
 	if f == nil {
-		switch c.Transport {
-		case "tcp":
-			f = mpc.TCPLoopback(c.TransportOpts)
-		default:
-			if c.Chaos.Enabled() {
-				// Chaos needs a concrete factory to wrap; nil would select
-				// the in-memory group deep inside mpc, past the wrapper.
-				f = mpc.MemTransport
-			}
+		var err error
+		if f, err = mpc.TransportByName(c.Transport, c.TransportOpts); err != nil {
+			panic("service: " + err.Error())
 		}
 	}
 	return c.Chaos.Wrap(f)
